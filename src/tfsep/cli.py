@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .fourier import WindowKind, export_heatmap, stft
+from .fourier import StftConfig, WindowKind, export_heatmap, stft
 from .harness import (DataError, SpeakerCorpus, default_grid, emit_report,
                       grid_search, load_grid_file, load_wav, make_mixture,
                       save_wav)
-from .masking import DwtConfig, StftConfig, WptConfig, decompose
 from .signal import PadMode, Signal
 from .wavelet import (dwt_heatmap_matrix, lookup, max_level, wavedec, wpt)
 
@@ -26,6 +25,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_stft_options(p, required=False):
@@ -78,13 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run the ideal-mask separation grid search")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mixtures", type=int, default=10)
+    p.add_argument("--mixtures", type=_count, default=10)
     p.add_argument("--speakers", type=int, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", default="default")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count, default=1)
     p.add_argument("--sort-by", choices=["stoi", "si_sdr", "snr", "mse", "time_s"],
                    default="stoi")
     p.add_argument("--full-depth", action="store_true",
@@ -93,33 +99,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _stft_config(args, rate: int) -> StftConfig:
-    win = int(args.win_ms / 1000.0 * rate)
-    hop = int(args.hop_ms / 1000.0 * rate)
-    kind = WindowKind.HANN if args.window == "hann" else WindowKind.RECTANGULAR
-    if win < 2 or hop < 1:
-        raise DataError(f"window/hop too short: {args.win_ms}/{args.hop_ms} ms at {rate} Hz")
-    return StftConfig(kind, win, hop, 1 << max(1, (win - 1).bit_length()))
+    return StftConfig.from_milliseconds(WindowKind(args.window), args.win_ms,
+                                        args.hop_ms, rate)
 
 
-def _wavelet_config(args, cls):
-    mode = {"zero": PadMode.ZERO, "periodization": PadMode.PERIODIZATION,
-            "symmetric": PadMode.SYMMETRIC}[args.mode]
-    return cls(args.wavelet, args.levels, mode)
-
-
-def _format_float(v: float) -> str:
-    return f"{v:.17g}"
+def _wavelet_transform(args, sig):
+    """wavedec's DwtCoeffs or wpt's WptLeaves, as --method asks."""
+    transform = wavedec if args.method == "dwt" else wpt
+    return transform(sig, lookup(args.wavelet), args.levels, PadMode(args.mode))
 
 
 def _cmd_decompose(args) -> int:
     sig = load_wav(args.infile)
     if args.method == "stft":
-        tf = decompose(sig, _stft_config(args, sig.rate))
-        rows = [[f"{c.real:.17g}{c.imag:+.17g}j" for c in band] for band in tf.bands]
+        matrix = stft(sig, _stft_config(args, sig.rate)).coeffs
+        rows = [[f"{c.real:.17g}{c.imag:+.17g}j" for c in band] for band in matrix]
     else:
-        cls = DwtConfig if args.method == "dwt" else WptConfig
-        tf = decompose(sig, _wavelet_config(args, cls))
-        rows = [[_format_float(v) for v in band] for band in tf.bands]
+        out = _wavelet_transform(args, sig)
+        bands = (out.approx, *out.details[::-1]) if args.method == "dwt" else out.matrix
+        rows = [[f"{v:.17g}" for v in band] for band in bands]
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(",".join(row) + "\n")
@@ -134,14 +132,8 @@ def _cmd_spectrogram(args) -> int:
 
 
 def _cmd_scaleogram(args) -> int:
-    sig = load_wav(args.infile)
-    bank = lookup(args.wavelet)
-    mode = {"zero": PadMode.ZERO, "periodization": PadMode.PERIODIZATION,
-            "symmetric": PadMode.SYMMETRIC}[args.mode]
-    if args.method == "dwt":
-        matrix = np.abs(dwt_heatmap_matrix(wavedec(sig, bank, args.levels, mode)))
-    else:
-        matrix = np.abs(wpt(sig, bank, args.levels, mode).matrix)
+    out = _wavelet_transform(args, load_wav(args.infile))
+    matrix = np.abs(dwt_heatmap_matrix(out) if args.method == "dwt" else out.matrix)
     export_heatmap(matrix, args.out, args.csv)
     return 0
 

@@ -18,8 +18,16 @@ from .signal import Signal
 
 
 class WindowKind(Enum):
+    """WindowKind(name) parses a window name, case-insensitively; "rect" is
+    short for "rectangular"."""
+
     RECTANGULAR = "rectangular"
     HANN = "hann"
+
+    @classmethod
+    def _missing_(cls, value):
+        name = str(value).lower()
+        return cls._value2member_map_.get("rectangular" if name == "rect" else name)
 
 
 def _is_pow2(n: int) -> bool:

@@ -24,7 +24,7 @@ from .masking import (DecompositionConfig, DwtConfig, WptConfig, add, apply_mask
                       decompose, ideal_binary_mask, reconstruct)
 from .metrics import MetricError, MetricScores, mse, si_sdr, snr, stoi
 from .signal import PadMode, Signal, resample
-from .wavelet import available_families
+from .wavelet import available_families, lookup
 
 
 class DataError(Exception):
@@ -166,12 +166,9 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
     elapsed = perf_counter() - t0
     source_tfs = [decompose(src, cfg) for src in mix.sources]
     target_tf = source_tfs[mix.target_index]
-    others = [tf for i, tf in enumerate(source_tfs) if i != mix.target_index]
-    if others:
-        interference = reduce(add, others)
-    else:
-        interference = dataclasses.replace(
-            target_tf, bands=tuple(np.zeros_like(b) for b in target_tf.bands))
+    silence = dataclasses.replace(target_tf, coeffs=np.zeros_like(target_tf.coeffs))
+    others = (tf for i, tf in enumerate(source_tfs) if i != mix.target_index)
+    interference = reduce(add, others, silence)
     masked = apply_mask(mixture_tf, ideal_binary_mask(target_tf, interference))
     t0 = perf_counter()
     estimate = reconstruct(masked)
@@ -212,20 +209,11 @@ class GridEntry:
     spec: dict = field(compare=False)
 
 
-def _window_kind(name: str) -> WindowKind:
-    try:
-        return {"hann": WindowKind.HANN, "rect": WindowKind.RECTANGULAR,
-                "rectangular": WindowKind.RECTANGULAR}[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown window {name!r}") from None
-
-
-def _pad_mode(name: str) -> PadMode:
-    try:
-        return {"zero": PadMode.ZERO, "periodization": PadMode.PERIODIZATION,
-                "symmetric": PadMode.SYMMETRIC}[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown boundary mode {name!r}") from None
+def _wavelet_mode(name) -> PadMode:
+    mode = PadMode(name)
+    if mode is PadMode.PERIODIC:  # the transforms implement periodization instead
+        raise ValueError("'periodic' is not a wavelet boundary mode; use 'periodization'")
+    return mode
 
 
 def stft_entry(window: str, size_ms: float, hop_fraction: float) -> GridEntry:
@@ -244,14 +232,11 @@ def wavelet_entry(kind: str, family: str, levels: int,
 def build_config(entry: GridEntry, rate: int) -> DecompositionConfig:
     spec = entry.spec
     if entry.decomposition == _STFT_LABEL:
-        win = int(spec["size_ms"] / 1000.0 * rate)
-        hop = max(1, round(spec["hop_fraction"] * win))
-        if win < 2:
-            raise ValueError(f"window of {spec['size_ms']} ms is too short at {rate} Hz")
-        return StftConfig(_window_kind(spec["window"]), win, hop,
-                          1 << max(1, (win - 1).bit_length()))
+        size_ms = spec["size_ms"]
+        return StftConfig.from_milliseconds(WindowKind(spec["window"]), size_ms,
+                                            size_ms * spec["hop_fraction"], rate)
     cls = DwtConfig if entry.decomposition == _DWT_LABEL else WptConfig
-    return cls(spec["family"], spec["levels"], _pad_mode(spec["mode"]))
+    return cls(spec["family"], spec["levels"], _wavelet_mode(spec["mode"]))
 
 
 def default_grid(max_levels: int, families=None, full_depth: bool = False) -> list[GridEntry]:
@@ -269,14 +254,56 @@ def default_grid(max_levels: int, families=None, full_depth: bool = False) -> li
     return entries
 
 
+def _positive_number(value):
+    if type(value) not in (int, float) or not 0 < value < math.inf:
+        raise ValueError(f"{value!r} is not a positive number")
+
+
+def _positive_int(value):
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{value!r} is not a positive integer")
+
+
+# section -> key -> check of one value; every key but "mode" holds a list
+_WAVELET_KEYS = {"families": lookup, "levels": _positive_int, "mode": _wavelet_mode}
+_GRID_KEYS = {
+    "stft": {"windows": WindowKind, "sizes_ms": _positive_number,
+             "hop_fractions": _positive_number},
+    "wavelet": _WAVELET_KEYS,
+    "wpt": _WAVELET_KEYS,
+}
+
+
+def _check_grid_section(sect, section: str, path) -> None:
+    """Raise DataError naming the section and key of the first malformed value."""
+    keys, where = _GRID_KEYS[section], f"grid file {path}: section {section!r}"
+    if not isinstance(sect, dict) or sect.keys() - keys.keys():
+        raise DataError(f"{where} must be a JSON object with keys from {', '.join(keys)}")
+    for key, check in keys.items():
+        values = [sect.get(key, "periodization")] if key == "mode" else sect.get(key)
+        if not isinstance(values, list) or not values:
+            raise DataError(f"{where}, key {key!r}: expected a non-empty list, got {values!r}")
+        try:
+            for value in values:
+                check(value)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{where}, key {key!r}: {exc}") from None
+
+
 def load_grid_file(path) -> list[GridEntry]:
     """Grid description file: JSON with optional sections
     stft: {windows, sizes_ms, hop_fractions} and wavelet / wpt:
-    {families, levels[, mode]}."""
+    {families, levels[, mode]}. The whole file is checked before any entry
+    is built; anything malformed raises DataError naming the section and key."""
     try:
         spec = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read grid file {path}: {exc}") from exc
+    if not isinstance(spec, dict) or spec.keys() - _GRID_KEYS.keys():
+        raise DataError(f"grid file {path} must be a JSON object with sections from "
+                        f"{', '.join(_GRID_KEYS)}")
+    for section, sect in spec.items():
+        _check_grid_section(sect, section, path)
     entries = []
     if "stft" in spec:
         sect = spec["stft"]
@@ -321,11 +348,10 @@ _SORT_DESCENDING = {"stoi", "si_sdr", "snr"}
 
 
 def _mean(values):
-    values = [v for v in values if v is not None]
-    if not values:
+    """Mean over every mixture, or None (an empty cell) when a mixture lacks
+    the metric or the values hold both +inf and -inf."""
+    if None in values or (math.inf in values and -math.inf in values):
         return None
-    if any(math.isinf(v) for v in values):
-        return math.inf if max(values) == math.inf else -math.inf
     return float(np.mean(values))
 
 
@@ -340,16 +366,17 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
     """
     if not grid:
         raise ValueError("grid is empty")
+    if n_mixtures < 1:
+        raise ValueError(f"need at least one mixture, got {n_mixtures}")
     if sort_by not in ("stoi", "si_sdr", "snr", "mse", "time_s"):
         raise ValueError(f"cannot sort by {sort_by!r}")
     mixture_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(n_mixtures)]
     mixtures = [make_mixture(corpus, n_speakers, s) for s in mixture_seeds]
-    rate = mixtures[0].mixture.rate
 
     def evaluate(entry_mix):
         entry, mix = entry_mix
         try:
-            return run_ibm_trial(mix, build_config(entry, rate))
+            return run_ibm_trial(mix, build_config(entry, mix.mixture.rate))
         except ValueError as exc:
             return exc
 
@@ -371,14 +398,9 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
                                   None, None, None, n_mixtures,
                                   f"failed: {reason}"))
             continue
-        rows.append(ReportRow(
-            entry.decomposition, entry.params,
-            _mean([r.stoi for r in results]),
-            _mean([r.si_sdr for r in results]),
-            _mean([r.snr for r in results]),
-            _mean([r.mse for r in results]),
-            _mean([r.decomposition_time for r in results]),
-            n_mixtures, "ok"))
+        means = (_mean([getattr(r, name) for r in results])
+                 for name in ("stoi", "si_sdr", "snr", "mse", "decomposition_time"))
+        rows.append(ReportRow(entry.decomposition, entry.params, *means, n_mixtures, "ok"))
 
     def sort_key(row: ReportRow):
         value = getattr(row, sort_by)

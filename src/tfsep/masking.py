@@ -1,10 +1,10 @@
 """Unified decompose/reconstruct dispatch over STFT/DWT/WPT plus ideal
 time-frequency masks.
 
-A TFRepresentation is a list of coefficient bands: STFT rows (complex, one
-per frequency), DWT bands ([approx, detail_L, ..., detail_1], ragged), or
-WPT leaf rows. Masks are band-wise weight containers congruent to the
-representation they were computed from.
+A TFRepresentation holds one coefficient array: the complex STFT matrix
+(bins x frames), the WPT leaf matrix (leaves x samples), or the flattened
+DWT vector [approx, detail_L, ..., detail_1]. A Mask holds one weight array
+of the same shape.
 """
 from __future__ import annotations
 
@@ -35,11 +35,6 @@ class WptConfig:
 DecompositionConfig = StftConfig | DwtConfig | WptConfig
 
 
-class Layout(Enum):
-    RECTANGULAR = "rectangular"
-    RAGGED = "ragged"
-
-
 class MaskKind(Enum):
     BINARY = "binary"
     RATIO = "ratio"
@@ -47,100 +42,89 @@ class MaskKind(Enum):
 
 @dataclass(frozen=True)
 class TFRepresentation:
-    bands: tuple[np.ndarray, ...]
-    layout: Layout
+    coeffs: np.ndarray
     config: DecompositionConfig
     rate: int
     original_len: int
 
-    def band_shapes(self) -> tuple[int, ...]:
-        return tuple(b.size for b in self.bands)
-
 
 @dataclass(frozen=True)
 class Mask:
-    """Per-band weights in [0, 1], congruent to a TFRepresentation."""
+    """Weights in [0, 1] with the shape of a TFRepresentation's coeffs."""
 
-    weights: tuple[np.ndarray, ...]
+    weights: np.ndarray
     kind: MaskKind
 
 
-def _check_congruent(a, b, what="operands"):
-    shapes_a = tuple(x.size for x in a)
-    shapes_b = tuple(x.size for x in b)
-    if shapes_a != shapes_b:
-        raise ValueError(f"{what} are not congruent: {shapes_a} vs {shapes_b}")
+def _check_congruent(a: TFRepresentation, b: TFRepresentation) -> None:
+    # DWT vectors of different depths can share a length, so compare configs too
+    if a.config != b.config or a.coeffs.shape != b.coeffs.shape:
+        raise ValueError(f"representations are not congruent: {a.config} {a.coeffs.shape} "
+                         f"vs {b.config} {b.coeffs.shape}")
 
 
 def decompose(s: Signal, cfg: DecompositionConfig) -> TFRepresentation:
-    """Dispatch to stft / wavedec / wpt and expose the result band-wise."""
+    """Dispatch to stft / wavedec / wpt and keep the coefficient array."""
     if isinstance(cfg, StftConfig):
-        m = stft(s, cfg)
-        bands = tuple(m.coeffs)
-        layout = Layout.RECTANGULAR
+        coeffs = stft(s, cfg).coeffs
     elif isinstance(cfg, DwtConfig):
-        c = wavelet.wavedec(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode)
-        bands = (c.approx, *c.details[::-1])
-        layout = Layout.RAGGED
+        coeffs = wavelet.flatten(
+            wavelet.wavedec(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode))
     elif isinstance(cfg, WptConfig):
-        leaves = wavelet.wpt(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode)
-        bands = tuple(leaves.matrix)
-        layout = Layout.RECTANGULAR
+        coeffs = wavelet.wpt(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode).matrix
     else:
         raise TypeError(f"unknown decomposition config {cfg!r}")
-    return TFRepresentation(bands, layout, cfg, s.rate, len(s))
+    return TFRepresentation(coeffs, cfg, s.rate, len(s))
 
 
 def reconstruct(tf: TFRepresentation) -> Signal:
     """Invert decompose() and trim to the original signal length."""
     cfg = tf.config
     if isinstance(cfg, StftConfig):
-        return istft(StftMatrix(np.vstack(tf.bands), cfg, tf.rate, tf.original_len))
+        return istft(StftMatrix(tf.coeffs, cfg, tf.rate, tf.original_len))
     if isinstance(cfg, DwtConfig):
-        approx, *details_rev = tf.bands
-        coeffs = wavelet.DwtCoeffs(
-            np.asarray(approx, dtype=np.float64), tuple(np.asarray(d, dtype=np.float64)
-                                                        for d in details_rev[::-1]),
-            cfg.levels, cfg.mode, tf.original_len, tf.rate)
-        return wavelet.waverec(coeffs, wavelet.lookup(cfg.wavelet))
+        bank = wavelet.lookup(cfg.wavelet)
+        chain = wavelet._length_chain(tf.original_len, len(bank), cfg.levels, cfg.mode)
+        sizes = [chain[-1], *chain[:0:-1]]    # approx, detail_L, ..., detail_1
+        approx, *details = np.split(tf.coeffs, np.cumsum(sizes)[:-1])
+        coeffs = wavelet.DwtCoeffs(approx, tuple(details[::-1]), cfg.levels, cfg.mode,
+                                   tf.original_len, tf.rate)
+        return wavelet.waverec(coeffs, bank)
     if isinstance(cfg, WptConfig):
-        leaves = wavelet.WptLeaves(np.vstack(tf.bands).astype(np.float64), cfg.levels,
-                                   cfg.wavelet, cfg.mode, tf.original_len, tf.rate)
+        leaves = wavelet.WptLeaves(tf.coeffs, cfg.levels, cfg.wavelet, cfg.mode,
+                                   tf.original_len, tf.rate)
         return wavelet.iwpt(leaves, wavelet.lookup(cfg.wavelet))
     raise TypeError(f"unknown decomposition config {cfg!r}")
 
 
 def add(a: TFRepresentation, b: TFRepresentation) -> TFRepresentation:
     """Coefficient-wise sum of two congruent representations."""
-    _check_congruent(a.bands, b.bands, "representations")
-    return replace(a, bands=tuple(x + y for x, y in zip(a.bands, b.bands)))
+    _check_congruent(a, b)
+    return replace(a, coeffs=a.coeffs + b.coeffs)
 
 
 def ideal_binary_mask(target: TFRepresentation, interference: TFRepresentation,
                       threshold: float = 0.0) -> Mask:
     """Weight 1 where |target| - |interference| >= threshold, else 0."""
-    _check_congruent(target.bands, interference.bands)
-    weights = tuple(
-        (np.abs(s) - np.abs(n) >= threshold).astype(np.float64)
-        for s, n in zip(target.bands, interference.bands))
-    return Mask(weights, MaskKind.BINARY)
+    _check_congruent(target, interference)
+    weights = np.abs(target.coeffs) - np.abs(interference.coeffs) >= threshold
+    return Mask(weights.astype(np.float64), MaskKind.BINARY)
 
 
 def ideal_ratio_mask(target: TFRepresentation, interference: TFRepresentation) -> Mask:
     """Weight |S|^2 / (|S|^2 + |N|^2); bins where both energies fall below
     1e-30 get weight 0."""
-    _check_congruent(target.bands, interference.bands)
-    weights = []
-    for s, n in zip(target.bands, interference.bands):
-        es = np.abs(s) ** 2
-        en = np.abs(n) ** 2
-        degenerate = (es < 1e-30) & (en < 1e-30)
-        denom = np.where(degenerate, 1.0, es + en)
-        weights.append(np.where(degenerate, 0.0, es / denom))
-    return Mask(tuple(weights), MaskKind.RATIO)
+    _check_congruent(target, interference)
+    es = np.abs(target.coeffs) ** 2
+    en = np.abs(interference.coeffs) ** 2
+    degenerate = (es < 1e-30) & (en < 1e-30)
+    denom = np.where(degenerate, 1.0, es + en)
+    return Mask(np.where(degenerate, 0.0, es / denom), MaskKind.RATIO)
 
 
 def apply_mask(tf: TFRepresentation, mask: Mask) -> TFRepresentation:
-    """Band-wise element-wise product; complex phase is untouched."""
-    _check_congruent(tf.bands, mask.weights, "representation and mask")
-    return replace(tf, bands=tuple(b * w for b, w in zip(tf.bands, mask.weights)))
+    """Element-wise product; complex phase is untouched."""
+    if mask.weights.shape != tf.coeffs.shape:
+        raise ValueError(f"mask shape {mask.weights.shape} does not match the "
+                         f"coefficients' {tf.coeffs.shape}")
+    return replace(tf, coeffs=tf.coeffs * mask.weights)

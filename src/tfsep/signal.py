@@ -14,7 +14,9 @@ import numpy as np
 
 
 class PadMode(Enum):
-    """Boundary extension conventions used by pad() and the wavelet transforms."""
+    """Boundary extension conventions used by pad() and the wavelet transforms.
+
+    PadMode(name) parses a mode name, case-insensitively."""
 
     ZERO = "zero"
     PERIODIC = "periodic"
@@ -22,6 +24,10 @@ class PadMode(Enum):
     # DWT naming convention: periodic extension plus per-level even-length
     # padding, which keeps band lengths at ceil(n / 2^level)
     PERIODIZATION = "periodization"
+
+    @classmethod
+    def _missing_(cls, value):
+        return cls._value2member_map_.get(str(value).lower())
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from tfsep.cli import main
-from tfsep.harness import load_wav, save_wav
+from tfsep import harness
+from tfsep.cli import _stft_config, build_parser, main
+from tfsep.harness import build_config, default_grid, load_wav, save_wav
 from tfsep.signal import Signal
 from tfsep.synth import speech_like
 
@@ -36,6 +37,21 @@ class TestDecompose:
         code = main(["decompose", "--in", str(tmp_path / "gone.wav"),
                      "--method", "stft", "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+
+class TestStftMilliseconds:
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+    def test_decompose_options_match_grid_rows(self, rate):
+        # a row labelled "W ms <window> window H ms hop" is `--win-ms W --hop-ms H`
+        for entry in default_grid(1):
+            if entry.decomposition != "stft":
+                continue
+            win_ms, window, _, hop_ms, _ = entry.params.split()
+            args = build_parser().parse_args(
+                ["decompose", "--in", "x.wav", "--method", "stft", "--out", "x.csv",
+                 "--window", "rect" if window == "rectangular" else window,
+                 "--win-ms", win_ms[:-2], "--hop-ms", hop_ms[:-2]])
+            assert _stft_config(args, rate) == build_config(entry, rate), entry.params
 
 
 class TestImages:
@@ -158,6 +174,31 @@ class TestExperimentCommand:
         assert all(row.split(",")[8] == "ok" for row in rows)
 
 
+class TestGridFileChecks:
+    @pytest.mark.parametrize("grid, section, key", [
+        ({"stft": {"windows": ["hann"], "hop_fractions": [0.5]}}, "stft", "sizes_ms"),
+        ({"stft": {"windows": "hann", "sizes_ms": [32], "hop_fractions": [0.5]}},
+         "stft", "windows"),
+        ({"wavelet": {"families": ["sym88"], "levels": [3]}}, "wavelet", "families"),
+        ({"stft": {"windows": ["hamming"], "sizes_ms": [32], "hop_fractions": [0.5]}},
+         "stft", "windows"),
+        ({"wpt": {"families": ["db4"], "levels": [3], "mode": "periodic"}}, "wpt", "mode"),
+    ], ids=["missing-sizes", "windows-not-a-list", "sym88", "hamming", "periodic"])
+    def test_malformed_grid_exits_two_before_any_mixture(
+            self, grid, section, key, small_corpus, tmp_path, monkeypatch, capsys):
+        def no_mixtures(*args, **kwargs):
+            raise AssertionError("a mixture was built for a malformed grid")
+
+        monkeypatch.setattr(harness, "make_mixture", no_mixtures)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        assert main(["experiment", "--corpus", str(small_corpus), "--grid", str(path),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"section {section!r}" in err and f"key {key!r}" in err
+        assert not (tmp_path / "r.csv").exists()
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:
@@ -168,3 +209,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "--method", "stft"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("option, value", [
+        ("--mixtures", "0"), ("--mixtures", "-1"), ("--jobs", "0")])
+    def test_counts_below_one_exit_one(self, option, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--corpus", str(tmp_path), "--out",
+                  str(tmp_path / "r.csv"), option, value])
+        assert exc.value.code == 1
+        assert option in capsys.readouterr().err

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from tfsep.harness import (DataError, Mixture, SpeakerCorpus, default_grid,
-                           emit_report, grid_search, load_grid_file, load_wav,
-                           make_mixture, run_ibm_trial, save_wav, stft_entry,
-                           wavelet_entry)
+from tfsep import harness
+from tfsep.harness import (DataError, Mixture, SpeakerCorpus, _mean, build_config,
+                           default_grid, emit_report, grid_search, load_grid_file,
+                           load_wav, make_mixture, run_ibm_trial, save_wav,
+                           stft_entry, wavelet_entry)
 from tfsep.masking import DwtConfig, StftConfig, WptConfig
 from tfsep.fourier import WindowKind
+from tfsep.metrics import MetricScores
 from tfsep.signal import Signal
 from tfsep.synth import speech_like
 
@@ -235,6 +237,47 @@ class TestGridSearch:
         with pytest.raises(ValueError):
             grid_search(corpus, [], n_mixtures=1)
 
+    def test_no_mixtures_rejected(self, small_corpus):
+        corpus = SpeakerCorpus.from_dir(small_corpus)
+        with pytest.raises(ValueError, match="mixture"):
+            grid_search(corpus, _small_grid(), n_mixtures=0)
+
+    def test_each_mixture_gets_configs_at_its_own_rate(self, tmp_path, monkeypatch):
+        # two speakers at 8 kHz, two at 16 kHz; seed 2 draws one mixture of each
+        gen = np.random.default_rng(0)
+        for name, rate in (("a", 8000), ("b", 8000), ("c", 16000), ("d", 16000)):
+            (tmp_path / name).mkdir()
+            save_wav(speech_like(1.0, rate, gen), tmp_path / name / "u.wav")
+        seen = []
+
+        def spy(mix, cfg):
+            seen.append((mix.mixture.rate, cfg))
+            return run_ibm_trial(mix, cfg)
+
+        monkeypatch.setattr(harness, "run_ibm_trial", spy)
+        entry = stft_entry("hann", 32.0, 0.5)
+        report = grid_search(SpeakerCorpus.from_dir(tmp_path), [entry],
+                             n_mixtures=2, seed=2)
+        assert report.rows[0].status == "ok"
+        assert sorted(rate for rate, _ in seen) == [8000, 16000]
+        assert all(cfg == build_config(entry, rate) for rate, cfg in seen)
+        assert {cfg.win_size for _, cfg in seen} == {256, 512}   # 32 ms at each rate
+
+    def test_row_with_a_missing_metric_has_an_empty_cell(self, small_corpus, monkeypatch):
+        calls = []
+
+        def one_stoi_missing(mix, cfg):
+            calls.append(mix)
+            return MetricScores(None if len(calls) == 1 else 0.8, 5.0, 6.0, 0.1, 0.01)
+
+        monkeypatch.setattr(harness, "run_ibm_trial", one_stoi_missing)
+        report = grid_search(SpeakerCorpus.from_dir(small_corpus),
+                             [stft_entry("hann", 32.0, 0.5)], n_mixtures=4, seed=3)
+        (row,) = report.rows
+        assert len(calls) == 4 and row.n_mixtures == 4 and row.status == "ok"
+        assert row.stoi is None
+        assert row.si_sdr == 5.0
+
     def test_best_stft_window_is_wide(self, small_corpus):
         # larger Hann windows resolve overlapping voices better
         corpus = SpeakerCorpus.from_dir(small_corpus)
@@ -243,6 +286,23 @@ class TestGridSearch:
         report = grid_search(corpus, grid, n_mixtures=6, seed=17)
         best = report.rows[0].params
         assert any(best.startswith(f"{ms:g}ms") for ms in (32.0, 50.0, 100.0)), best
+
+
+class TestMean:
+    def test_plain_mean(self):
+        assert _mean([1.0, 2.0, 6.0]) == 3.0
+
+    def test_any_missing_value_empties_the_cell(self):
+        assert _mean([0.9, None, 0.7, 0.8]) is None
+        assert _mean([None]) is None
+
+    def test_one_signed_infinity_is_kept(self):
+        assert _mean([math.inf, 3.0]) == math.inf
+        assert _mean([-math.inf, 3.0]) == -math.inf
+
+    def test_mixed_infinities_empty_the_cell(self):
+        assert _mean([math.inf, -math.inf]) is None
+        assert _mean([math.inf, 2.0, -math.inf]) is None
 
 
 class TestEmitReport:
