@@ -15,10 +15,11 @@ import numpy as np
 from . import metrics as metrics_mod
 from .fourier import StftConfig, WindowKind, export_heatmap, stft
 from .harness import (DataError, SpeakerCorpus, default_grid, emit_report,
-                      grid_search, load_grid_file, load_wav, make_mixture,
-                      save_wav)
-from .signal import PadMode, Signal
-from .wavelet import (dwt_heatmap_matrix, lookup, max_level, wavedec, wpt)
+                      grid_search, json_value, load_grid_file, load_wav,
+                      make_mixture, save_wav)
+from .signal import Signal
+from .wavelet import (dwt_bands, dwt_heatmap_matrix, lookup, max_level, wavedec,
+                      wavelet_mode, wpt)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -34,8 +35,9 @@ def _count(text: str) -> int:
     return value
 
 
-def _add_stft_options(p, required=False):
-    p.add_argument("--window", choices=["hann", "rect"], default="hann")
+def _add_stft_options(p):
+    p.add_argument("--window", type=WindowKind, default="hann",
+                   help="hann or rectangular (rect)")
     p.add_argument("--win-ms", type=float, default=32.0)
     p.add_argument("--hop-ms", type=float, default=16.0)
 
@@ -43,8 +45,8 @@ def _add_stft_options(p, required=False):
 def _add_wavelet_options(p):
     p.add_argument("--wavelet", default="sym8")
     p.add_argument("--levels", type=int, default=6)
-    p.add_argument("--mode", choices=["zero", "periodization", "symmetric"],
-                   default="periodization")
+    p.add_argument("--mode", type=wavelet_mode, default="periodization",
+                   help="zero, periodization or symmetric")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,14 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _stft_config(args, rate: int) -> StftConfig:
-    return StftConfig.from_milliseconds(WindowKind(args.window), args.win_ms,
-                                        args.hop_ms, rate)
+    return StftConfig.from_milliseconds(args.window, args.win_ms, args.hop_ms, rate)
 
 
 def _wavelet_transform(args, sig):
-    """wavedec's DwtCoeffs or wpt's WptLeaves, as --method asks."""
+    """wavedec or wpt, as --method asks."""
     transform = wavedec if args.method == "dwt" else wpt
-    return transform(sig, lookup(args.wavelet), args.levels, PadMode(args.mode))
+    return transform(sig, lookup(args.wavelet), args.levels, args.mode)
 
 
 def _cmd_decompose(args) -> int:
@@ -115,8 +116,8 @@ def _cmd_decompose(args) -> int:
         matrix = stft(sig, _stft_config(args, sig.rate)).coeffs
         rows = [[f"{c.real:.17g}{c.imag:+.17g}j" for c in band] for band in matrix]
     else:
-        out = _wavelet_transform(args, sig)
-        bands = (out.approx, *out.details[::-1]) if args.method == "dwt" else out.matrix
+        tf = _wavelet_transform(args, sig)
+        bands = dwt_bands(tf) if args.method == "dwt" else tf.coeffs
         rows = [[f"{v:.17g}" for v in band] for band in bands]
     with open(args.out, "w", encoding="utf-8") as fh:
         for row in rows:
@@ -132,8 +133,8 @@ def _cmd_spectrogram(args) -> int:
 
 
 def _cmd_scaleogram(args) -> int:
-    out = _wavelet_transform(args, load_wav(args.infile))
-    matrix = np.abs(dwt_heatmap_matrix(out) if args.method == "dwt" else out.matrix)
+    tf = _wavelet_transform(args, load_wav(args.infile))
+    matrix = np.abs(dwt_heatmap_matrix(tf) if args.method == "dwt" else tf.coeffs)
     export_heatmap(matrix, args.out, args.csv)
     return 0
 
@@ -159,9 +160,7 @@ def _cmd_metrics(args) -> int:
         out["snr"] = metrics_mod.snr(ref.samples, deg.samples)
     if "mse" in wanted:
         out["mse"] = metrics_mod.mse(ref.samples, deg.samples)
-    out = {k: ("inf" if isinstance(v, float) and v == float("inf") else v)
-           for k, v in out.items()}
-    print(json.dumps(out))
+    print(json.dumps({k: json_value(v) for k, v in out.items()}))
     return 0
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal import Signal
+from .signal import Signal, TFRepresentation
 
 
 class WindowKind(Enum):
@@ -122,17 +122,6 @@ class StftConfig:
         return cls(window, win, hop, 1 << max(1, (win - 1).bit_length()))
 
 
-@dataclass(frozen=True)
-class StftMatrix:
-    """Complex STFT coefficients: one row per analyzed frequency (fft_size/2 + 1
-    rows), one column per frame."""
-
-    coeffs: np.ndarray
-    config: StftConfig
-    rate: int
-    original_len: int
-
-
 def stft_frequencies(fft_size: int, rate: int) -> np.ndarray:
     """Analyzed frequencies {k * rate / fft_size : k = 0 .. fft_size/2} in Hz."""
     if not _is_pow2(fft_size):
@@ -145,8 +134,9 @@ def _frame(x: np.ndarray, win_size: int, hop: int) -> np.ndarray:
     return view[::hop]
 
 
-def stft(s: Signal, cfg: StftConfig) -> StftMatrix:
-    """Short-time Fourier transform.
+def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
+    """Short-time Fourier transform: one coefficient row per analyzed
+    frequency (fft_size/2 + 1 rows), one column per frame.
 
     The signal is zero-padded by win_size//2 at both ends (so every sample is
     covered by a window) plus enough at the tail to complete the last frame,
@@ -167,10 +157,10 @@ def stft(s: Signal, cfg: StftConfig) -> StftMatrix:
     padded = np.zeros((frames.shape[0], cfg.fft_size), dtype=np.complex128)
     padded[:, :cfg.win_size] = frames
     spec = _fft_core(padded, -1.0)[:, :cfg.fft_size // 2 + 1]
-    return StftMatrix(spec.T.copy(), cfg, s.rate, len(s))
+    return TFRepresentation(spec.T.copy(), cfg, s.rate, len(s))
 
 
-def istft(m: StftMatrix) -> Signal:
+def istft(m: TFRepresentation) -> Signal:
     """Inverse STFT by weighted overlap-add with window-square normalization,
     trimmed to the original signal length.
 
@@ -178,6 +168,8 @@ def istft(m: StftMatrix) -> Signal:
     retained range (a window/hop combination that does not cover the signal).
     """
     cfg = m.config
+    if not isinstance(cfg, StftConfig):
+        raise ValueError(f"expected an STFT representation, got config {cfg!r}")
     n_bins, n_frames = m.coeffs.shape
     nfft = cfg.fft_size
     if n_bins != nfft // 2 + 1:

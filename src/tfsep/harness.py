@@ -23,8 +23,8 @@ from .fourier import StftConfig, WindowKind
 from .masking import (DecompositionConfig, DwtConfig, WptConfig, add, apply_mask,
                       decompose, ideal_binary_mask, reconstruct)
 from .metrics import MetricError, MetricScores, mse, si_sdr, snr, stoi
-from .signal import PadMode, Signal, resample
-from .wavelet import available_families, lookup
+from .signal import Signal, resample
+from .wavelet import available_families, lookup, wavelet_mode
 
 
 class DataError(Exception):
@@ -209,13 +209,6 @@ class GridEntry:
     spec: dict = field(compare=False)
 
 
-def _wavelet_mode(name) -> PadMode:
-    mode = PadMode(name)
-    if mode is PadMode.PERIODIC:  # the transforms implement periodization instead
-        raise ValueError("'periodic' is not a wavelet boundary mode; use 'periodization'")
-    return mode
-
-
 def stft_entry(window: str, size_ms: float, hop_fraction: float) -> GridEntry:
     params = f"{size_ms:g}ms {window} window {size_ms * hop_fraction:g}ms hop"
     return GridEntry(_STFT_LABEL, params,
@@ -236,7 +229,7 @@ def build_config(entry: GridEntry, rate: int) -> DecompositionConfig:
         return StftConfig.from_milliseconds(WindowKind(spec["window"]), size_ms,
                                             size_ms * spec["hop_fraction"], rate)
     cls = DwtConfig if entry.decomposition == _DWT_LABEL else WptConfig
-    return cls(spec["family"], spec["levels"], _wavelet_mode(spec["mode"]))
+    return cls(spec["family"], spec["levels"], wavelet_mode(spec["mode"]))
 
 
 def default_grid(max_levels: int, families=None, full_depth: bool = False) -> list[GridEntry]:
@@ -265,7 +258,7 @@ def _positive_int(value):
 
 
 # section -> key -> check of one value; every key but "mode" holds a list
-_WAVELET_KEYS = {"families": lookup, "levels": _positive_int, "mode": _wavelet_mode}
+_WAVELET_KEYS = {"families": lookup, "levels": _positive_int, "mode": wavelet_mode}
 _GRID_KEYS = {
     "stft": {"windows": WindowKind, "sizes_ms": _positive_number,
              "hop_fractions": _positive_number},
@@ -416,19 +409,25 @@ _REPORT_COLUMNS = ("decomposition", "params", "stoi", "si_sdr", "snr", "mse",
                    "time_s", "n_mixtures", "status")
 
 
+def json_value(value):
+    """JSON has no infinities: +-inf become the strings "inf" / "-inf"."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return f"{value:.9g}"
+        return f"{value:.9g}"  # also "inf" / "-inf"
     return str(value)
 
 
 def emit_report(report: ExperimentReport, fmt: str, path) -> None:
     """Write the report as CSV (one line per row, '.' decimal separator) or as
-    a JSON array of row objects. Infinities serialize as the string "inf"."""
+    a JSON array of row objects. Infinities serialize as the strings "inf" and
+    "-inf"."""
     if not report.rows:
         raise ValueError("report is empty")
     path = Path(path)
@@ -438,15 +437,8 @@ def emit_report(report: ExperimentReport, fmt: str, path) -> None:
             lines.append(",".join(_cell(getattr(row, col)) for col in _REPORT_COLUMNS))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     elif fmt == "json":
-        payload = []
-        for row in report.rows:
-            obj = {}
-            for col in _REPORT_COLUMNS:
-                value = getattr(row, col)
-                if isinstance(value, float) and math.isinf(value):
-                    value = "inf" if value > 0 else "-inf"
-                obj[col] = value
-            payload.append(obj)
+        payload = [{col: json_value(getattr(row, col)) for col in _REPORT_COLUMNS}
+                   for row in report.rows]
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     else:
         raise ValueError(f"unknown report format {fmt!r}")

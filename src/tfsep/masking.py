@@ -1,10 +1,8 @@
 """Unified decompose/reconstruct dispatch over STFT/DWT/WPT plus ideal
 time-frequency masks.
 
-A TFRepresentation holds one coefficient array: the complex STFT matrix
-(bins x frames), the WPT leaf matrix (leaves x samples), or the flattened
-DWT vector [approx, detail_L, ..., detail_1]. A Mask holds one weight array
-of the same shape.
+Every transform returns a TFRepresentation (see tfsep.signal); a Mask holds
+one weight array of the same shape as its coefficients.
 """
 from __future__ import annotations
 
@@ -13,23 +11,10 @@ from enum import Enum
 
 import numpy as np
 
-from .fourier import StftConfig, StftMatrix, istft, stft
-from .signal import PadMode, Signal
+from .fourier import StftConfig, istft, stft
+from .signal import Signal, TFRepresentation
+from .wavelet import DwtConfig, WptConfig
 from . import wavelet
-
-
-@dataclass(frozen=True)
-class DwtConfig:
-    wavelet: str
-    levels: int
-    mode: PadMode = PadMode.PERIODIZATION
-
-
-@dataclass(frozen=True)
-class WptConfig:
-    wavelet: str
-    levels: int
-    mode: PadMode = PadMode.PERIODIZATION
 
 
 DecompositionConfig = StftConfig | DwtConfig | WptConfig
@@ -38,14 +23,6 @@ DecompositionConfig = StftConfig | DwtConfig | WptConfig
 class MaskKind(Enum):
     BINARY = "binary"
     RATIO = "ratio"
-
-
-@dataclass(frozen=True)
-class TFRepresentation:
-    coeffs: np.ndarray
-    config: DecompositionConfig
-    rate: int
-    original_len: int
 
 
 @dataclass(frozen=True)
@@ -64,36 +41,25 @@ def _check_congruent(a: TFRepresentation, b: TFRepresentation) -> None:
 
 
 def decompose(s: Signal, cfg: DecompositionConfig) -> TFRepresentation:
-    """Dispatch to stft / wavedec / wpt and keep the coefficient array."""
+    """Dispatch to stft / wavedec / wpt."""
     if isinstance(cfg, StftConfig):
-        coeffs = stft(s, cfg).coeffs
-    elif isinstance(cfg, DwtConfig):
-        coeffs = wavelet.flatten(
-            wavelet.wavedec(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode))
-    elif isinstance(cfg, WptConfig):
-        coeffs = wavelet.wpt(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode).matrix
-    else:
-        raise TypeError(f"unknown decomposition config {cfg!r}")
-    return TFRepresentation(coeffs, cfg, s.rate, len(s))
+        return stft(s, cfg)
+    if isinstance(cfg, DwtConfig):
+        return wavelet.wavedec(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode)
+    if isinstance(cfg, WptConfig):
+        return wavelet.wpt(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode)
+    raise TypeError(f"unknown decomposition config {cfg!r}")
 
 
 def reconstruct(tf: TFRepresentation) -> Signal:
     """Invert decompose() and trim to the original signal length."""
     cfg = tf.config
     if isinstance(cfg, StftConfig):
-        return istft(StftMatrix(tf.coeffs, cfg, tf.rate, tf.original_len))
+        return istft(tf)
     if isinstance(cfg, DwtConfig):
-        bank = wavelet.lookup(cfg.wavelet)
-        chain = wavelet._length_chain(tf.original_len, len(bank), cfg.levels, cfg.mode)
-        sizes = [chain[-1], *chain[:0:-1]]    # approx, detail_L, ..., detail_1
-        approx, *details = np.split(tf.coeffs, np.cumsum(sizes)[:-1])
-        coeffs = wavelet.DwtCoeffs(approx, tuple(details[::-1]), cfg.levels, cfg.mode,
-                                   tf.original_len, tf.rate)
-        return wavelet.waverec(coeffs, bank)
+        return wavelet.waverec(tf, wavelet.lookup(cfg.wavelet))
     if isinstance(cfg, WptConfig):
-        leaves = wavelet.WptLeaves(tf.coeffs, cfg.levels, cfg.wavelet, cfg.mode,
-                                   tf.original_len, tf.rate)
-        return wavelet.iwpt(leaves, wavelet.lookup(cfg.wavelet))
+        return wavelet.iwpt(tf, wavelet.lookup(cfg.wavelet))
     raise TypeError(f"unknown decomposition config {cfg!r}")
 
 

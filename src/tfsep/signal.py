@@ -62,6 +62,20 @@ class Signal:
         return self.samples.size / self.rate
 
 
+@dataclass(frozen=True)
+class TFRepresentation:
+    """The coefficients of one decomposition of a Signal, as stft, wavedec and
+    wpt return them: the complex STFT matrix (bins x frames), the flat DWT
+    vector [approx, detail_L, ..., detail_1] (see wavelet.dwt_bands), or the
+    WPT leaf matrix (leaves x samples, lowest frequency first). `config` is
+    the StftConfig, DwtConfig or WptConfig that made them."""
+
+    coeffs: np.ndarray
+    config: object
+    rate: int
+    original_len: int
+
+
 def convolve(x, h, mode: str = "full") -> np.ndarray:
     """Linear convolution y[t] = sum_n x[n] h[t-n].
 

@@ -19,7 +19,7 @@ from math import ceil, floor, log2
 import numpy as np
 
 from ._filter_tables import SCALING_FILTERS, WAVELET_MOMENTS
-from .signal import PadMode, Signal
+from .signal import PadMode, Signal, TFRepresentation, convolve
 
 
 @dataclass(frozen=True)
@@ -254,24 +254,34 @@ def max_level(n: int) -> int:
 
 
 @dataclass(frozen=True)
-class DwtCoeffs:
-    """Multi-level DWT output.
-
-    details[0] is the level-1 (finest, highest-frequency) band and
-    details[-1] the level-L band; approx is the level-L approximation.
-    """
-
-    approx: np.ndarray
-    details: tuple[np.ndarray, ...]
+class DwtConfig:
+    wavelet: str
     levels: int
-    mode: PadMode
-    original_len: int
-    rate: int
+    mode: PadMode = PadMode.PERIODIZATION
+
+
+@dataclass(frozen=True)
+class WptConfig:
+    wavelet: str
+    levels: int
+    mode: PadMode = PadMode.PERIODIZATION
+
+
+def wavelet_mode(name) -> PadMode:
+    """Parse a wavelet boundary mode name: a PadMode other than periodic."""
+    mode = PadMode(name)
+    if mode is PadMode.PERIODIC:  # the transforms implement periodization instead
+        raise ValueError("'periodic' is not a wavelet boundary mode; use 'periodization'")
+    return mode
 
 
 def wavedec(s: Signal, bank: WaveletFilterBank, levels: int,
-            mode: PadMode = PadMode.PERIODIZATION) -> DwtCoeffs:
-    """Cascade dwt_step on successive approximations for `levels` levels."""
+            mode: PadMode = PadMode.PERIODIZATION) -> TFRepresentation:
+    """Cascade dwt_step on successive approximations for `levels` levels.
+
+    The coefficients are one flat vector [approx, detail_L, ..., detail_1];
+    dwt_bands splits it into bands.
+    """
     n = len(s)
     if not 1 <= levels <= max_level(n):
         raise ValueError(f"levels must be in [1, {max_level(n)}] for a length-{n} signal")
@@ -280,35 +290,40 @@ def wavedec(s: Signal, bank: WaveletFilterBank, levels: int,
     for _ in range(levels):
         approx, det = _analysis_pair(approx, bank, mode)
         details.append(det[0])
-    return DwtCoeffs(approx[0], tuple(details), levels, mode, n, s.rate)
+    flat = np.concatenate([approx[0], *details[::-1]])
+    return TFRepresentation(flat, DwtConfig(bank.name, levels, mode), s.rate, n)
 
 
-def waverec(coeffs: DwtCoeffs, bank: WaveletFilterBank) -> Signal:
+def dwt_bands(tf: TFRepresentation, bank: WaveletFilterBank | None = None) -> list[np.ndarray]:
+    """Split a wavedec vector into its bands [approx, detail_L, ..., detail_1]
+    (views, not copies). `bank` defaults to the registered bank the config
+    names."""
+    cfg = tf.config
+    if not isinstance(cfg, DwtConfig):
+        raise ValueError(f"expected a DWT representation, got config {cfg!r}")
+    taps = len(bank if bank is not None else lookup(cfg.wavelet))
+    chain = _length_chain(tf.original_len, taps, cfg.levels, cfg.mode)
+    sizes = [chain[-1], *chain[:0:-1]]
+    if tf.coeffs.shape != (sum(sizes),):
+        raise ValueError(f"expected {sum(sizes)} DWT coefficients, got shape {tf.coeffs.shape}")
+    return np.split(tf.coeffs, np.cumsum(sizes)[:-1])
+
+
+def _check_bank(tf: TFRepresentation, bank: WaveletFilterBank, kind: type) -> None:
+    if not isinstance(tf.config, kind) or tf.config.wavelet != bank.name:
+        raise ValueError(f"cannot invert a {tf.config!r} representation with bank {bank.name!r}")
+
+
+def waverec(tf: TFRepresentation, bank: WaveletFilterBank) -> Signal:
     """Invert wavedec and trim to the original length."""
-    chain = _length_chain(coeffs.original_len, len(bank), coeffs.levels, coeffs.mode)
-    approx = coeffs.approx[np.newaxis]
-    for level in range(coeffs.levels, 0, -1):
-        detail = coeffs.details[level - 1][np.newaxis]
-        if approx.shape != detail.shape:
-            raise ValueError(f"band length mismatch at level {level}")
-        approx = _synthesis_pair(approx, detail, bank, coeffs.mode, chain[level - 1])
-    return Signal(approx[0], coeffs.rate)
-
-
-def flatten(coeffs: DwtCoeffs) -> np.ndarray:
-    """Concatenate [approx, detail_L, ..., detail_1] into one vector."""
-    return np.concatenate([coeffs.approx, *coeffs.details[::-1]])
-
-
-def unflatten(flat, like: DwtCoeffs) -> DwtCoeffs:
-    """Split a flattened vector back into the band structure of `like`."""
-    flat = np.asarray(flat, dtype=np.float64)
-    sizes = [like.approx.size] + [d.size for d in like.details[::-1]]
-    if flat.size != sum(sizes):
-        raise ValueError(f"expected {sum(sizes)} coefficients, got {flat.size}")
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    return DwtCoeffs(parts[0], tuple(parts[1:][::-1]), like.levels, like.mode,
-                     like.original_len, like.rate)
+    _check_bank(tf, bank, DwtConfig)
+    approx, *details = dwt_bands(tf, bank)
+    # each level's output is as long as the next finer detail band
+    out_lens = [d.size for d in details[1:]] + [tf.original_len]
+    approx = approx[np.newaxis]
+    for detail, out_len in zip(details, out_lens):
+        approx = _synthesis_pair(approx, detail[np.newaxis], bank, tf.config.mode, out_len)
+    return Signal(approx[0], tf.rate)
 
 
 def gray_permutation(levels: int) -> np.ndarray:
@@ -330,22 +345,10 @@ def gray_permutation(levels: int) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class WptLeaves:
-    """Full-tree wavelet packet output: 2^levels leaf bands stacked as matrix
-    rows in increasing center-frequency order."""
-
-    matrix: np.ndarray
-    levels: int
-    bank_name: str
-    mode: PadMode
-    original_len: int
-    rate: int
-
-
 def wpt(s: Signal, bank: WaveletFilterBank, levels: int,
-        mode: PadMode = PadMode.PERIODIZATION) -> WptLeaves:
-    """Full binary-tree packet decomposition, leaves permuted to frequency order."""
+        mode: PadMode = PadMode.PERIODIZATION) -> TFRepresentation:
+    """Full binary-tree packet decomposition: the 2^levels leaf bands stacked
+    as matrix rows in increasing center-frequency order."""
     n = len(s)
     if not 1 <= levels <= max_level(n):
         raise ValueError(f"levels must be in [1, {max_level(n)}] for a length-{n} signal")
@@ -357,18 +360,18 @@ def wpt(s: Signal, bank: WaveletFilterBank, levels: int,
         bands[1::2] = hi
     ordered = np.empty_like(bands)
     ordered[gray_permutation(levels)] = bands
-    return WptLeaves(ordered, levels, bank.name, mode, n, s.rate)
+    return TFRepresentation(ordered, WptConfig(bank.name, levels, mode), s.rate, n)
 
 
-def iwpt(leaves: WptLeaves, bank: WaveletFilterBank) -> Signal:
+def iwpt(tf: TFRepresentation, bank: WaveletFilterBank) -> Signal:
     """Invert wpt and trim to the original length."""
-    if bank.name != leaves.bank_name:
-        raise ValueError(f"leaves built with {leaves.bank_name!r}, got bank {bank.name!r}")
-    chain = _length_chain(leaves.original_len, len(bank), leaves.levels, leaves.mode)
-    bands = leaves.matrix[gray_permutation(leaves.levels)]
-    for level in range(leaves.levels, 0, -1):
-        bands = _synthesis_pair(bands[0::2], bands[1::2], bank, leaves.mode, chain[level - 1])
-    return Signal(bands[0], leaves.rate)
+    _check_bank(tf, bank, WptConfig)
+    cfg = tf.config
+    chain = _length_chain(tf.original_len, len(bank), cfg.levels, cfg.mode)
+    bands = tf.coeffs[gray_permutation(cfg.levels)]
+    for level in range(cfg.levels, 0, -1):
+        bands = _synthesis_pair(bands[0::2], bands[1::2], bank, cfg.mode, chain[level - 1])
+    return Signal(bands[0], tf.rate)
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +439,17 @@ def cwt_ricker(s: Signal, scales) -> np.ndarray:
         raise ValueError("scales must be positive")
     out = np.empty((scales.size, len(s)))
     for i, a in enumerate(scales):
-        kern = ricker_kernel(a)[::-1]  # time-reversed; Ricker is even-symmetric
-        full = np.convolve(s.samples, kern)
-        start = (kern.size - 1) // 2
-        out[i] = full[start:start + len(s)]
+        # time-reversed kernel; Ricker is even-symmetric
+        out[i] = convolve(s.samples, ricker_kernel(a)[::-1], "same")
     return out
 
 
-def dwt_heatmap_matrix(coeffs: DwtCoeffs) -> np.ndarray:
-    """Rectangular scaleogram layout for DWT bands: rows are
-    [approx, detail_L, ..., detail_1] with each band's coefficients repeated
-    out to the finest band's width."""
-    width = coeffs.details[0].size
-    rows = [coeffs.approx, *coeffs.details[::-1]]
+def dwt_heatmap_matrix(tf: TFRepresentation) -> np.ndarray:
+    """Rectangular scaleogram layout for a wavedec representation: one row
+    per dwt_bands band, each band's coefficients repeated out to the finest
+    band's width."""
+    rows = dwt_bands(tf)
+    width = rows[-1].size
     out = np.empty((len(rows), width))
     for i, band in enumerate(rows):
         reps = ceil(width / band.size)

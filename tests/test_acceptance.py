@@ -155,7 +155,7 @@ def test_criterion_06_gray_code_ordering():
     leaves = wpt(Signal(sweep, rate), lookup("sym8"), 5)
     kernel = np.ones(9) / 9.0
     ridge = [int(np.argmax(np.convolve(row ** 2, kernel, mode="same")))
-             for row in leaves.matrix]
+             for row in leaves.coeffs]
     assert np.all(np.diff(ridge) > 0)
     _report(6, "recurrence indices and inverse match; chirp ridge strictly "
                "increasing over 32 frequency-ordered leaves")

@@ -74,6 +74,26 @@ class TestImages:
             assert csv_out.exists()
 
 
+class TestNameOptions:
+    def test_rect_and_rectangular_give_identical_spectrograms(self, wav_file, tmp_path):
+        for name in ("rect", "rectangular"):
+            assert main(["spectrogram", "--in", str(wav_file), "--window", name,
+                         "--out", str(tmp_path / f"{name}.pgm")]) == 0
+        for suffix in (".pgm", ".csv"):
+            assert ((tmp_path / f"rect{suffix}").read_bytes()
+                    == (tmp_path / f"rectangular{suffix}").read_bytes())
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrogram", "--window", "hamming"],
+        ["scaleogram", "--mode", "periodic"],
+        ["decompose", "--method", "dwt", "--mode", "periodic"]])
+    def test_bad_names_exit_one(self, argv, wav_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--in", str(wav_file), "--out", str(tmp_path / "out")])
+        assert exc.value.code == 1
+        assert argv[-2] in capsys.readouterr().err
+
+
 class TestMetricsCommand:
     def test_all_metrics_json(self, wav_file, tmp_path, capsys):
         ref = load_wav(wav_file)
@@ -93,6 +113,16 @@ class TestMetricsCommand:
         assert set(payload) == {"mse", "snr"}
         assert payload["mse"] == 0.0
         assert payload["snr"] == "inf"
+
+    def test_silent_degraded_file_prints_strict_json(self, wav_file, tmp_path, capsys):
+        silent = tmp_path / "silent.wav"
+        save_wav(Signal(np.zeros(len(load_wav(wav_file))), 16000), silent)
+        assert main(["metrics", "--ref", str(wav_file), "--deg", str(silent)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["si_sdr"] == "-inf"
 
     def test_length_mismatch_is_data_error(self, wav_file, tmp_path):
         short = Signal(np.zeros(100), 16000)

@@ -1,6 +1,7 @@
 """Coverage for less-traveled paths: odd resampling ratios, non-default
 wavelet boundary modes through the masking dispatch, malformed inputs, and
 report-sorting options."""
+import dataclasses
 import json
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfsep.fourier import StftConfig, StftMatrix, WindowKind, istft, stft
+from tfsep.fourier import StftConfig, WindowKind, istft, stft
 from tfsep.harness import (SpeakerCorpus, grid_search, load_grid_file,
                            stft_entry, wavelet_entry)
 from tfsep.masking import (DwtConfig, WptConfig, apply_mask, decompose,
                            ideal_binary_mask, reconstruct)
 from tfsep.signal import PadMode, Signal, resample
-from tfsep.wavelet import idwt_step, lookup, unflatten, wavedec
+from tfsep.wavelet import dwt_bands, idwt_step, iwpt, lookup, wavedec, waverec, wpt
 
 
 class TestResampleFallback:
@@ -62,17 +63,30 @@ class TestMalformedInputs:
         cfg = StftConfig(WindowKind.HANN, 64, 32, 64)
         m = stft(Signal(rng.normal(size=500), 8000), cfg)
         with pytest.raises(ValueError):
-            istft(StftMatrix(m.coeffs[:-1], cfg, 8000, 500))
+            istft(dataclasses.replace(m, coeffs=m.coeffs[:-1]))
+
+    def test_inverses_reject_another_transforms_coefficients(self, rng):
+        s = Signal(rng.normal(size=512), 8000)
+        haar = lookup("haar")
+        tfs = {"stft": stft(s, StftConfig(WindowKind.HANN, 64, 32, 64)),
+               "dwt": wavedec(s, haar, 3), "wpt": wpt(s, haar, 3)}
+        inverses = {"stft": istft, "dwt": lambda tf: waverec(tf, haar),
+                    "wpt": lambda tf: iwpt(tf, haar)}
+        for name, inverse in inverses.items():
+            for other, tf in tfs.items():
+                if other != name:
+                    with pytest.raises(ValueError, match="representation"):
+                        inverse(tf)
 
     def test_idwt_step_rejects_length_mismatch(self):
         bank = lookup("haar")
         with pytest.raises(ValueError):
             idwt_step(np.zeros(4), np.zeros(5), bank)
 
-    def test_unflatten_rejects_wrong_size(self, rng):
+    def test_dwt_bands_rejects_wrong_size(self, rng):
         coeffs = wavedec(Signal(rng.normal(size=64), 8000), lookup("db2"), 2)
         with pytest.raises(ValueError):
-            unflatten(np.zeros(65), coeffs)
+            dwt_bands(dataclasses.replace(coeffs, coeffs=np.zeros(65)))
 
     def test_filter_bank_requires_equal_lengths(self):
         from tfsep.wavelet import WaveletFilterBank

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from tfsep.signal import PadMode, Signal
 from tfsep.wavelet import (WaveletFilterBank, available_families, central_frequency,
                            count_vanishing_moments, cqf_highpass, cwt_ricker,
-                           dwt_heatmap_matrix, dwt_step, flatten, gray_permutation,
+                           dwt_bands, dwt_heatmap_matrix, dwt_step, gray_permutation,
                            idwt_step, iwpt, lookup, max_level, qmf_highpass,
-                           scale_to_frequency, unflatten, verify_pr, wavedec,
-                           waverec, wpt)
+                           scale_to_frequency, verify_pr, wavedec, waverec, wpt)
 
 ALL_MODES = [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC]
 SQRT2 = np.sqrt(2.0)
@@ -146,14 +145,14 @@ class TestDwtStep:
 class TestWavedec:
     def test_six_level_band_lengths(self, rng):
         s = Signal(rng.normal(size=65536), 16000)
-        coeffs = wavedec(s, lookup("sym8"), 6)
-        assert [d.size for d in coeffs.details] == [32768, 16384, 8192, 4096, 2048, 1024]
-        assert coeffs.approx.size == 1024
+        approx, *details = dwt_bands(wavedec(s, lookup("sym8"), 6))
+        assert [d.size for d in details[::-1]] == [32768, 16384, 8192, 4096, 2048, 1024]
+        assert approx.size == 1024
 
     def test_odd_length_follows_ceil_chain(self, rng):
         s = Signal(rng.normal(size=100), 8000)
         coeffs = wavedec(s, lookup("db2"), 3)
-        assert [d.size for d in coeffs.details] == [50, 25, 13]
+        assert [d.size for d in dwt_bands(coeffs)[:0:-1]] == [50, 25, 13]
         back = waverec(coeffs, lookup("db2"))
         assert np.max(np.abs(back.samples - s.samples)) < 1e-10
 
@@ -171,12 +170,12 @@ class TestWavedec:
     def test_matches_manual_cascade_exactly(self, rng):
         s = Signal(rng.normal(size=4096), 8000)
         bank = lookup("db5")
-        coeffs = wavedec(s, bank, 4)
+        coeff_approx, *details = dwt_bands(wavedec(s, bank, 4))
         approx = s.samples
         for level in range(4):
             approx, detail = dwt_step(approx, bank)
-            assert np.array_equal(detail, coeffs.details[level])
-        assert np.array_equal(approx, coeffs.approx)
+            assert np.array_equal(detail, details[::-1][level])
+        assert np.array_equal(approx, coeff_approx)
 
     def test_level_bounds(self, rng):
         s = Signal(rng.normal(size=100), 8000)
@@ -200,28 +199,32 @@ class TestWavedec:
         s = Signal(rng.normal(size=4096), 8000)
         for name in ("haar", "db7", "sym12", "coif4"):
             coeffs = wavedec(s, lookup(name), 5)
-            ratio = np.linalg.norm(flatten(coeffs)) / np.linalg.norm(s.samples)
+            ratio = np.linalg.norm(coeffs.coeffs) / np.linalg.norm(s.samples)
             assert abs(ratio - 1.0) < 1e-8, name
 
 
 class TestFlatten:
     def test_single_level(self):
         coeffs = wavedec(Signal(np.arange(8.0), 8000), lookup("haar"), 1)
-        flat = flatten(coeffs)
-        assert np.array_equal(flat, np.concatenate([coeffs.approx, coeffs.details[0]]))
+        approx, detail = dwt_step(np.arange(8.0), lookup("haar"))
+        assert np.array_equal(coeffs.coeffs, np.concatenate([approx, detail]))
 
     def test_length_conserved(self, rng):
         s = Signal(rng.normal(size=4096), 8000)
         coeffs = wavedec(s, lookup("sym8"), 6)
-        assert flatten(coeffs).size == 4096
+        assert coeffs.coeffs.shape == (4096,)
 
-    def test_unflatten_roundtrip(self, rng):
+    def test_dwt_bands_roundtrip(self, rng):
         s = Signal(rng.normal(size=777), 8000)
-        coeffs = wavedec(s, lookup("db3"), 4)
-        again = unflatten(flatten(coeffs), coeffs)
-        assert np.array_equal(again.approx, coeffs.approx)
-        for a, b in zip(again.details, coeffs.details):
-            assert np.array_equal(a, b)
+        bank = lookup("db3")
+        coeffs = wavedec(s, bank, 4)
+        approx, *details = dwt_bands(coeffs)
+        assert np.array_equal(np.concatenate([approx, *details]), coeffs.coeffs)
+        ref = s.samples
+        for detail in details[::-1]:
+            ref, ref_detail = dwt_step(ref, bank)
+            assert np.array_equal(detail, ref_detail)
+        assert np.array_equal(approx, ref)
 
 
 class TestGrayOrdering:
@@ -255,21 +258,21 @@ class TestWpt:
     def test_leaf_geometry(self, rng):
         s = Signal(rng.normal(size=65536), 16000)
         leaves = wpt(s, lookup("sym8"), 6)
-        assert leaves.matrix.shape == (64, 1024)
+        assert leaves.coeffs.shape == (64, 1024)
 
     def test_total_coefficients_conserved(self, rng):
         s = Signal(rng.normal(size=1000), 8000)
         leaves = wpt(s, lookup("haar"), 3)
-        assert leaves.matrix.shape == (8, 125)
-        assert leaves.matrix.size == 1000
+        assert leaves.coeffs.shape == (8, 125)
+        assert leaves.coeffs.size == 1000
 
     def test_single_level_equals_dwt_step(self, rng):
         x = rng.normal(size=256)
         bank = lookup("db6")
         leaves = wpt(Signal(x, 8000), bank, 1)
         approx, detail = dwt_step(x, bank)
-        assert np.array_equal(leaves.matrix[0], approx)
-        assert np.array_equal(leaves.matrix[1], detail)
+        assert np.array_equal(leaves.coeffs[0], approx)
+        assert np.array_equal(leaves.coeffs[1], detail)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_roundtrip(self, rng, mode):
@@ -289,7 +292,7 @@ class TestWpt:
             s = Signal(np.sin(2 * np.pi * freq * t / rate), rate)
             leaves = wpt(s, lookup("sym8"), 5)
             width = rate / 2 / 32
-            assert abs(int(np.argmax((leaves.matrix ** 2).sum(axis=1)))
+            assert abs(int(np.argmax((leaves.coeffs ** 2).sum(axis=1)))
                        - int(freq // width)) <= 1, freq
 
     def test_chirp_ridge_is_monotone(self):
@@ -298,7 +301,7 @@ class TestWpt:
         t = np.arange(n) / rate
         sweep = np.sin(2 * np.pi * (rate / 2.0) / (2 * t[-1]) * t * t)  # 0 Hz -> Nyquist
         leaves = wpt(Signal(sweep, rate), lookup("sym8"), 5)
-        energy = leaves.matrix ** 2
+        energy = leaves.coeffs ** 2
         # smooth each row a little, then track the ridge position
         kernel = np.ones(9) / 9.0
         ridge = [int(np.argmax(np.convolve(row, kernel, mode="same")))
@@ -392,4 +395,4 @@ class TestDwtHeatmap:
         matrix = dwt_heatmap_matrix(coeffs)
         assert matrix.shape == (5, 500)
         # coarse rows are stretched copies of their bands
-        assert np.array_equal(matrix[0][:4], np.repeat(coeffs.approx, 8)[:4])
+        assert np.array_equal(matrix[0][:4], np.repeat(dwt_bands(coeffs)[0], 8)[:4])
