@@ -14,9 +14,9 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .fourier import StftConfig, WindowKind, export_heatmap, stft
-from .harness import (DataError, SpeakerCorpus, default_grid, emit_report,
-                      grid_search, json_value, load_grid_file, load_wav,
-                      make_mixture, save_wav)
+from .harness import (SORT_COLUMNS, DataError, SpeakerCorpus, default_grid,
+                      emit_report, grid_search, json_value, load_grid_file,
+                      load_wav, make_mixture, save_wav)
 from .signal import Signal
 from .wavelet import (dwt_bands, dwt_heatmap_matrix, lookup, max_level, wavedec,
                       wavelet_mode, wpt)
@@ -28,11 +28,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than `minimum`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
 
 
 def _add_stft_options(p):
@@ -44,7 +47,7 @@ def _add_stft_options(p):
 
 def _add_wavelet_options(p):
     p.add_argument("--wavelet", default="sym8")
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--levels", type=_at_least(1), default=6)
     p.add_argument("--mode", type=wavelet_mode, default="periodization",
                    help="zero, periodization or symmetric")
 
@@ -79,22 +82,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mix", help="synthesize a speaker mixture from a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--speakers", type=int, default=2)
+    p.add_argument("--speakers", type=_at_least(2), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--sources-dir", default=None)
 
     p = sub.add_parser("experiment", help="run the ideal-mask separation grid search")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mixtures", type=_count, default=10)
-    p.add_argument("--speakers", type=int, default=2)
+    p.add_argument("--mixtures", type=_at_least(1), default=10)
+    p.add_argument("--speakers", type=_at_least(2), default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", default="default")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--jobs", type=_count, default=1)
-    p.add_argument("--sort-by", choices=["stoi", "si_sdr", "snr", "mse", "time_s"],
-                   default="stoi")
+    p.add_argument("--jobs", type=_at_least(1), default=1)
+    p.add_argument("--sort-by", choices=SORT_COLUMNS, default="stoi")
     p.add_argument("--full-depth", action="store_true",
                    help="lift the 12-level cap on the default wavelet grid")
     return parser

@@ -200,6 +200,7 @@ _DEFAULT_WINDOWS = ("hann", "rectangular")
 _DEFAULT_SIZES_MS = (5.0, 10.0, 16.0, 25.0, 32.0, 50.0, 100.0, 120.0)
 _DEFAULT_HOPS = (0.25, 0.5, 0.75)
 _LEVEL_CAP = 12
+_DEFAULT_FAMILIES = tuple(f for f in available_families() if f != "db1")  # db1 == haar
 
 
 @dataclass(frozen=True)
@@ -232,18 +233,16 @@ def build_config(entry: GridEntry, rate: int) -> DecompositionConfig:
     return cls(spec["family"], spec["levels"], wavelet_mode(spec["mode"]))
 
 
-def default_grid(max_levels: int, families=None, full_depth: bool = False) -> list[GridEntry]:
+def default_grid(max_levels: int, full_depth: bool = False) -> list[GridEntry]:
     """The paper-style search grid: every window/size/hop STFT combination and
     every registered wavelet family at every depth up to min(12, max_levels)
     (the cap is lifted by full_depth)."""
     entries = [stft_entry(w, s, h) for w in _DEFAULT_WINDOWS
                for s in _DEFAULT_SIZES_MS for h in _DEFAULT_HOPS]
-    if families is None:
-        families = [f for f in available_families() if f != "db1"]  # db1 == haar
     depth = max_levels if full_depth else min(_LEVEL_CAP, max_levels)
     for kind in ("dwt", "wpt"):
         entries.extend(wavelet_entry(kind, fam, lv)
-                       for fam in families for lv in range(1, depth + 1))
+                       for fam in _DEFAULT_FAMILIES for lv in range(1, depth + 1))
     return entries
 
 
@@ -333,10 +332,9 @@ class ReportRow:
 class ExperimentReport:
     rows: tuple[ReportRow, ...]
     n_mixtures: int
-    seed: int
-    sort_by: str
 
 
+SORT_COLUMNS = ("stoi", "si_sdr", "snr", "mse", "time_s")
 _SORT_DESCENDING = {"stoi", "si_sdr", "snr"}
 
 
@@ -361,7 +359,7 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
         raise ValueError("grid is empty")
     if n_mixtures < 1:
         raise ValueError(f"need at least one mixture, got {n_mixtures}")
-    if sort_by not in ("stoi", "si_sdr", "snr", "mse", "time_s"):
+    if sort_by not in SORT_COLUMNS:
         raise ValueError(f"cannot sort by {sort_by!r}")
     mixture_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(n_mixtures)]
     mixtures = [make_mixture(corpus, n_speakers, s) for s in mixture_seeds]
@@ -402,7 +400,7 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
         return (0, -value if sort_by in _SORT_DESCENDING else value)
 
     rows.sort(key=sort_key)
-    return ExperimentReport(tuple(rows), n_mixtures, seed, sort_by)
+    return ExperimentReport(tuple(rows), n_mixtures)
 
 
 _REPORT_COLUMNS = ("decomposition", "params", "stoi", "si_sdr", "snr", "mse",

@@ -147,7 +147,10 @@ _SINC_HALF = 32  # 64-tap kernel per output sample
 
 
 def resample(s: Signal, to_rate: int) -> Signal:
-    """Rational windowed-sinc resampling to to_rate Hz.
+    """Rational windowed-sinc resampling to to_rate Hz, in polyphase form:
+    each of the `up` output phases has one 64-tap Hann-windowed sinc kernel,
+    applied as one matrix-vector product over a strided view of the input,
+    so memory stays proportional to the input and output lengths.
 
     Duration is preserved within one sample. Resampling to the input rate
     returns the input unchanged.
@@ -168,32 +171,16 @@ def resample(s: Signal, to_rate: int) -> Signal:
     cutoff = 0.5 * min(1.0, up / down)  # cycles per input sample
     offsets = np.arange(-half + 1, half + 1)
     xp = np.concatenate([np.zeros(half), s.samples, np.zeros(half + down + 2)])
+    # row r holds xp[r : r + 64]; output j = phase + k*up reads row base + 1 + k*down
+    windows = np.lib.stride_tricks.sliding_window_view(xp, 2 * half)
     out = np.empty(n_out)
-    if up <= 4096:
-        for phase in range(up):
-            count = len(range(phase, n_out, up))
-            if count == 0:
-                continue
-            t = phase * down / up
-            base = int(np.floor(t))
-            frac = t - base
-            u = offsets - frac
-            kern = 2.0 * cutoff * np.sinc(2.0 * cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / half))
-            kern /= kern.sum()
-            acc = np.zeros(count)
-            start = base + half + offsets[0]
-            for i, k in enumerate(kern):
-                col = xp[start + i: start + i + (count - 1) * down + 1: down]
-                acc += k * col
-            out[phase::up] = acc
-    else:
-        # irreducible ratios with huge numerators: direct per-output gather
-        t = np.arange(n_out) * (down / up)
-        base = np.floor(t).astype(np.intp)
+    for phase in range(min(up, n_out)):
+        t = phase * down / up
+        base = int(np.floor(t))
         frac = t - base
-        idx = base[:, None] + offsets[None, :] + half
-        u = offsets[None, :] - frac[:, None]
+        u = offsets - frac
         kern = 2.0 * cutoff * np.sinc(2.0 * cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / half))
-        kern /= kern.sum(axis=1, keepdims=True)
-        out = np.einsum("ij,ij->i", xp[idx], kern)
+        kern /= kern.sum()
+        count = len(range(phase, n_out, up))
+        out[phase::up] = windows[base + 1::down][:count] @ kern
     return Signal(out, to_rate)

@@ -189,6 +189,8 @@ def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
     """Inverse of _analysis_pair, trimmed to out_len columns."""
     k = len(bank)
     m = lo.shape[1]
+    if m == 0:
+        raise ValueError("cannot reconstruct from zero-length bands")
     full = np.zeros((lo.shape[0], 2 * m + k - 1))
     for i in range(k):
         full[:, i: i + 2 * m: 2] += bank.rec_lo[i] * lo
@@ -196,13 +198,9 @@ def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
     if mode == PadMode.PERIODIZATION:
         n2 = 2 * m
         out = full[:, :n2].copy()
-        tail = full[:, n2:]
-        pos = 0
-        while tail.shape[1] > 0:  # fold the circular wrap back in
-            chunk = min(n2 - pos, tail.shape[1])
-            out[:, pos:pos + chunk] += tail[:, :chunk]
-            tail = tail[:, chunk:]
-            pos = (pos + chunk) % n2
+        for start in range(n2, full.shape[1], n2):  # fold the circular wrap back in
+            block = full[:, start:start + n2]
+            out[:, :block.shape[1]] += block
         return out[:, :out_len]
     return full[:, k - 2: k - 2 + out_len]
 

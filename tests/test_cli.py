@@ -240,11 +240,17 @@ class TestUsageErrors:
             main(["decompose", "--method", "stft"])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("option, value", [
-        ("--mixtures", "0"), ("--mixtures", "-1"), ("--jobs", "0")])
-    def test_counts_below_one_exit_one(self, option, value, tmp_path, capsys):
+    @pytest.mark.parametrize("command, option, value", [
+        ("experiment", "--mixtures", "0"), ("experiment", "--mixtures", "-1"),
+        ("experiment", "--jobs", "0"), ("experiment", "--speakers", "1"),
+        ("experiment", "--speakers", "0"), ("mix", "--speakers", "-3"),
+        ("decompose", "--levels", "0"), ("scaleogram", "--levels", "0")])
+    def test_counts_below_one_exit_one(self, command, option, value, tmp_path, capsys):
+        required = {"experiment": ["--corpus", str(tmp_path)],
+                    "mix": ["--corpus", str(tmp_path)],
+                    "decompose": ["--in", str(tmp_path / "x.wav"), "--method", "dwt"],
+                    "scaleogram": ["--in", str(tmp_path / "x.wav")]}[command]
         with pytest.raises(SystemExit) as exc:
-            main(["experiment", "--corpus", str(tmp_path), "--out",
-                  str(tmp_path / "r.csv"), option, value])
+            main([command, *required, "--out", str(tmp_path / "r.csv"), option, value])
         assert exc.value.code == 1
         assert option in capsys.readouterr().err

@@ -59,6 +59,37 @@ def test_resample_matches_resample_poly(from_rate, to_rate):
     assert np.max(np.abs(ours - ref)[EDGE:-EDGE]) <= RESAMPLE_BOUND
 
 
+def _resample_oracle(x, from_rate, to_rate):
+    """The resampler's formula evaluated per output sample, with exact integer
+    phases: output j sits at input position j*down/up = base + frac."""
+    g = gcd(from_rate, to_rate)
+    up, down = to_rate // g, from_rate // g
+    j = np.arange(-(-x.size * up // down))
+    base = j * down // up
+    frac = (j * down % up) / up
+    offsets = np.arange(-31, 33)
+    u = offsets - frac[:, None]
+    cutoff = 0.5 * min(1.0, up / down)
+    kern = 2.0 * cutoff * np.sinc(2.0 * cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / 32))
+    kern /= kern.sum(axis=1, keepdims=True)
+    idx = base[:, None] + offsets
+    inside = (idx >= 0) & (idx < x.size)
+    taps = np.where(inside, x[np.clip(idx, 0, x.size - 1)], 0.0)
+    return (taps * kern).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 2001])
+@pytest.mark.parametrize("from_rate, to_rate", [
+    (16000, 10000), (8000, 10000), (44100, 10000), (22050, 16000), (11025, 10000),
+    (8000, 8009), (8000, 12007)])
+def test_resample_matches_per_output_oracle(from_rate, to_rate, n):
+    x = np.random.default_rng(n + from_rate + to_rate).normal(size=n)
+    ours = resample(Signal(x, from_rate), to_rate).samples
+    ref = _resample_oracle(x, from_rate, to_rate)
+    assert ours.shape == ref.shape
+    assert np.max(np.abs(ours - ref)) <= 1e-11
+
+
 @pytest.mark.parametrize("config", [DwtConfig, WptConfig])
 @pytest.mark.parametrize("mode", [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC])
 @pytest.mark.parametrize("wavelet", ["haar", "db4", "sym8", "coif5"])

@@ -3,6 +3,7 @@ wavelet boundary modes through the masking dispatch, malformed inputs, and
 report-sorting options."""
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from tfsep.signal import PadMode, Signal, resample
 from tfsep.wavelet import dwt_bands, idwt_step, iwpt, lookup, wavedec, waverec, wpt
 
 
-class TestResampleFallback:
-    def test_coprime_ratio_uses_gather_path(self):
-        # up = 8009 exceeds the polyphase threshold
+class TestResampleCoprimeRatios:
+    def test_coprime_ratio_keeps_constant(self):
+        # up = 8009 exceeds the 4005 outputs: every phase has one output sample
         s = Signal(np.full(4000, 0.5), 8000)
         out = resample(s, 8009)
         assert out.rate == 8009
@@ -35,6 +36,17 @@ class TestResampleFallback:
         spec = np.abs(np.fft.rfft(out.samples[:n]))
         peak = np.argmax(spec) * 12007 / n
         assert abs(peak - 200.0) < 12007 / n + 1e-9
+
+    def test_memory_proportional_to_input_and_output(self, rng):
+        # no n_out x 64 per-output kernel or gather matrix (about 1 MB each here)
+        s = Signal(rng.normal(size=2000), 8000)
+        tracemalloc.start()
+        try:
+            resample(s, 8009)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestBoundaryModesThroughMasking:

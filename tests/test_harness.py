@@ -335,7 +335,7 @@ class TestEmitReport:
     def test_infinity_serialized_as_inf(self, tmp_path):
         from tfsep.harness import ExperimentReport, ReportRow
         row = ReportRow("stft", "x", 1.0, math.inf, math.inf, 0.0, 0.1, 1, "ok")
-        report = ExperimentReport((row,), 1, 0, "stoi")
+        report = ExperimentReport((row,), 1)
         emit_report(report, "csv", tmp_path / "inf.csv")
         assert ",inf," in (tmp_path / "inf.csv").read_text()
         emit_report(report, "json", tmp_path / "inf.json")
@@ -345,4 +345,4 @@ class TestEmitReport:
     def test_empty_report_rejected(self, tmp_path):
         from tfsep.harness import ExperimentReport
         with pytest.raises(ValueError):
-            emit_report(ExperimentReport((), 0, 0, "stoi"), "csv", tmp_path / "no.csv")
+            emit_report(ExperimentReport((), 0), "csv", tmp_path / "no.csv")

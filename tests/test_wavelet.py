@@ -118,6 +118,9 @@ class TestDwtStep:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dwt_step(np.zeros(0), lookup("haar"))
+        for mode in (PadMode.PERIODIZATION, PadMode.ZERO):
+            with pytest.raises(ValueError):
+                idwt_step([], [], lookup("haar"), mode)
 
     def test_matches_naive_circular_correlation(self, rng):
         # independent oracle: per-definition loops over the periodized signal
