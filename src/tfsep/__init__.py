@@ -11,8 +11,8 @@ from .wavelet import (DwtConfig, WaveletFilterBank, WptConfig, available_familie
                       dwt_bands, dwt_step, gray_permutation, idwt_step, iwpt, lookup,
                       qmf_highpass, cqf_highpass, scale_to_frequency, verify_pr,
                       wavedec, waverec, wpt)
-from .masking import (Mask, MaskKind, apply_mask, decompose, ideal_binary_mask,
-                      ideal_ratio_mask, reconstruct)
+from .masking import (apply_mask, decompose, ideal_binary_mask, ideal_ratio_mask,
+                      reconstruct)
 from .metrics import MetricError, MetricScores, mse, si_sdr, snr, stoi
 from .harness import (DataError, ExperimentReport, Mixture, SpeakerCorpus,
                       default_grid, emit_report, grid_search, load_grid_file,

@@ -183,8 +183,9 @@ def _cmd_mix(args) -> int:
 
 def _cmd_experiment(args) -> int:
     corpus = SpeakerCorpus.from_dir(args.corpus)
+    corpus.check_speakers(args.speakers)  # before any WAV is decoded
     if args.grid == "default":
-        shortest = min(len(load_wav(f)) for sp in corpus.speakers for f in sp.files)
+        shortest = min(len(corpus.load(f)) for sp in corpus.speakers for f in sp.files)
         grid = default_grid(max_level(shortest), full_depth=args.full_depth)
     else:
         grid = load_grid_file(args.grid)

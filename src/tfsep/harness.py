@@ -105,6 +105,11 @@ class SpeakerCorpus:
             self._cache[path] = load_wav(path)
         return self._cache[path]
 
+    def check_speakers(self, n: int) -> None:
+        """Raise DataError if the corpus holds fewer than n speakers."""
+        if len(self.speakers) < n:
+            raise DataError(f"corpus has {len(self.speakers)} speakers, need {n}")
+
 
 @dataclass(frozen=True)
 class Mixture:
@@ -124,9 +129,7 @@ def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int,
     common length, and sum. The first drawn speaker is the target."""
     if n_speakers < 2:
         raise ValueError("a mixture needs at least 2 speakers")
-    if len(corpus.speakers) < n_speakers:
-        raise DataError(
-            f"corpus has {len(corpus.speakers)} speakers, need {n_speakers}")
+    corpus.check_speakers(n_speakers)
     streams = np.random.SeedSequence(seed).spawn(2)
     rng_speakers = np.random.default_rng(streams[0])
     rng_files = np.random.default_rng(streams[1])

@@ -1,13 +1,12 @@
 """Unified decompose/reconstruct dispatch over STFT/DWT/WPT plus ideal
 time-frequency masks.
 
-Every transform returns a TFRepresentation (see tfsep.signal); a Mask holds
-one weight array of the same shape as its coefficients.
+Every transform returns a TFRepresentation (see tfsep.signal); a mask is a
+weight array of the same shape as its coefficients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,19 +17,6 @@ from . import wavelet
 
 
 DecompositionConfig = StftConfig | DwtConfig | WptConfig
-
-
-class MaskKind(Enum):
-    BINARY = "binary"
-    RATIO = "ratio"
-
-
-@dataclass(frozen=True)
-class Mask:
-    """Weights in [0, 1] with the shape of a TFRepresentation's coeffs."""
-
-    weights: np.ndarray
-    kind: MaskKind
 
 
 def _check_congruent(a: TFRepresentation, b: TFRepresentation) -> None:
@@ -70,14 +56,14 @@ def add(a: TFRepresentation, b: TFRepresentation) -> TFRepresentation:
 
 
 def ideal_binary_mask(target: TFRepresentation, interference: TFRepresentation,
-                      threshold: float = 0.0) -> Mask:
+                      threshold: float = 0.0) -> np.ndarray:
     """Weight 1 where |target| - |interference| >= threshold, else 0."""
     _check_congruent(target, interference)
     weights = np.abs(target.coeffs) - np.abs(interference.coeffs) >= threshold
-    return Mask(weights.astype(np.float64), MaskKind.BINARY)
+    return weights.astype(np.float64)
 
 
-def ideal_ratio_mask(target: TFRepresentation, interference: TFRepresentation) -> Mask:
+def ideal_ratio_mask(target: TFRepresentation, interference: TFRepresentation) -> np.ndarray:
     """Weight |S|^2 / (|S|^2 + |N|^2); bins where both energies fall below
     1e-30 get weight 0."""
     _check_congruent(target, interference)
@@ -85,12 +71,13 @@ def ideal_ratio_mask(target: TFRepresentation, interference: TFRepresentation) -
     en = np.abs(interference.coeffs) ** 2
     degenerate = (es < 1e-30) & (en < 1e-30)
     denom = np.where(degenerate, 1.0, es + en)
-    return Mask(np.where(degenerate, 0.0, es / denom), MaskKind.RATIO)
+    return np.where(degenerate, 0.0, es / denom)
 
 
-def apply_mask(tf: TFRepresentation, mask: Mask) -> TFRepresentation:
-    """Element-wise product; complex phase is untouched."""
-    if mask.weights.shape != tf.coeffs.shape:
-        raise ValueError(f"mask shape {mask.weights.shape} does not match the "
+def apply_mask(tf: TFRepresentation, weights: np.ndarray) -> TFRepresentation:
+    """Element-wise product with weights in [0, 1] of the coefficients' shape;
+    complex phase is untouched."""
+    if weights.shape != tf.coeffs.shape:
+        raise ValueError(f"mask shape {weights.shape} does not match the "
                          f"coefficients' {tf.coeffs.shape}")
-    return replace(tf, coeffs=tf.coeffs * mask.weights)
+    return replace(tf, coeffs=tf.coeffs * weights)

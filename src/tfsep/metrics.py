@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import WindowKind, _fft_core, make_window, stft_frequencies
+from .fourier import WindowKind, _fft_core, _frame, make_window, stft_frequencies
 from .signal import Signal, resample
 
 
@@ -98,12 +98,6 @@ def _stoi_band_matrix() -> np.ndarray:
     return ((freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])).astype(float)
 
 
-def _frames_of(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    n_frames = 1 + (x.size - _STOI_WIN) // _STOI_HOP
-    view = np.lib.stride_tricks.sliding_window_view(x, _STOI_WIN)[::_STOI_HOP][:n_frames]
-    return view * window
-
-
 def stoi(s, s_hat, rate: int) -> float:
     """Short-time objective intelligibility of s_hat against clean s, in [0, 1].
 
@@ -121,8 +115,8 @@ def stoi(s, s_hat, rate: int) -> float:
         raise MetricError("clean signal is silent")
 
     window = make_window(WindowKind.HANN, _STOI_WIN)
-    frames_c = _frames_of(clean, window)
-    frames_d = _frames_of(degraded, window)
+    frames_c = _frame(clean, _STOI_WIN, _STOI_HOP) * window
+    frames_d = _frame(degraded, _STOI_WIN, _STOI_HOP) * window
     energy = np.sum(frames_c ** 2, axis=1)
     keep = energy > energy.max() * 10.0 ** (-_STOI_SILENCE_DB / 10.0)
     frames_c = frames_c[keep]

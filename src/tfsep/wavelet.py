@@ -6,9 +6,9 @@ QMF/CQF constructions, single-step and multi-level DWT, the full-tree wavelet
 packet transform with frequency ordering, moment counting, central-frequency
 estimation by filter cascading, and the Ricker continuous transform.
 
-The analysis/synthesis kernels operate on stacks of bands (2-D arrays) so the
-packet transform costs O(taps * n) vector operations per level regardless of
-how many bands that level holds.
+The analysis/synthesis kernels operate on stacks of bands (2-D arrays): each
+is two products of a strided window view with the taps, so a packet level
+costs the same few numpy calls however many bands it holds.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from functools import lru_cache
 from math import ceil, floor, log2
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._filter_tables import SCALING_FILTERS, WAVELET_MOMENTS
 from .signal import PadMode, Signal, TFRepresentation, convolve
@@ -40,8 +41,8 @@ class WaveletFilterBank:
             arr.setflags(write=False)
             object.__setattr__(self, field, arr)
         lengths = {self.dec_lo.size, self.dec_hi.size, self.rec_lo.size, self.rec_hi.size}
-        if lengths == {0} or len(lengths) != 1:
-            raise ValueError("all four filters must be non-empty and of equal length")
+        if len(lengths) != 1 or lengths == {0} or min(lengths) % 2:
+            raise ValueError("all four filters must be of one even, non-zero length")
 
     def __len__(self) -> int:
         return self.dec_lo.size
@@ -150,6 +151,13 @@ def count_vanishing_moments(bank: WaveletFilterBank, max_p: int | None = None,
 # ---------------------------------------------------------------------------
 # analysis / synthesis kernels over stacks of bands
 
+def _in_tap_order(taps: np.ndarray) -> np.ndarray:
+    """`taps` behind a negative stride. numpy's matmul then takes its own loop,
+    which adds the products in tap order, rather than BLAS, whose fused
+    multiply-adds would leave residues where the per-tap sums are exact."""
+    return taps[::-1].copy()[::-1]
+
+
 def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank,
                    mode: PadMode) -> tuple[np.ndarray, np.ndarray]:
     """One filter-bank step applied to every row of `bands`."""
@@ -158,43 +166,40 @@ def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank,
     if n == 0:
         raise ValueError("cannot decompose a zero-length band")
     if mode == PadMode.PERIODIZATION:
-        if n % 2:
-            bands = np.concatenate([bands, np.zeros((bands.shape[0], 1))], axis=1)
-            n += 1
-        if k - 1 <= n:
-            ext = np.concatenate([bands, bands[:, :k - 1]], axis=1)
-        else:
-            reps = ceil((n + k - 1) / n)
-            ext = np.tile(bands, (1, reps))[:, :n + k - 1]
-        phase, out_len = 0, n // 2
+        if n % 2:  # odd bands get one zero sample
+            bands = np.pad(bands, [(0, 0), (0, 1)])
+        ext = np.pad(bands, [(0, 0), (0, k - 1)], mode="wrap")
+        phase, out_len = 0, bands.shape[1] // 2
     elif mode in (PadMode.ZERO, PadMode.SYMMETRIC):
         pad_kw = {} if mode == PadMode.ZERO else {"mode": "symmetric"}
         ext = np.pad(bands, [(0, 0), (k - 1, k - 1)], **pad_kw)
         phase, out_len = 1, (n + k - 1) // 2
     else:
         raise ValueError(f"unsupported boundary mode {mode!r}")
-
-    lo = np.zeros((bands.shape[0], out_len))
-    hi = np.zeros_like(lo)
     # correlation with the synthesis filters == convolution with dec_lo/dec_hi
-    for i in range(k):
-        seg = ext[:, phase + i: phase + i + 2 * out_len - 1: 2]
-        lo += bank.rec_lo[i] * seg
-        hi += bank.rec_hi[i] * seg
-    return lo, hi
+    windows = sliding_window_view(ext, k, axis=1)[:, phase::2][:, :out_len]
+    return windows @ _in_tap_order(bank.rec_lo), windows @ _in_tap_order(bank.rec_hi)
 
 
 def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
                     mode: PadMode, out_len: int) -> np.ndarray:
     """Inverse of _analysis_pair, trimmed to out_len columns."""
     k = len(bank)
-    m = lo.shape[1]
+    rows, m = lo.shape
     if m == 0:
         raise ValueError("cannot reconstruct from zero-length bands")
-    full = np.zeros((lo.shape[0], 2 * m + k - 1))
-    for i in range(k):
-        full[:, i: i + 2 * m: 2] += bank.rec_lo[i] * lo
-        full[:, i: i + 2 * m: 2] += bank.rec_hi[i] * hi
+    # hi[0], lo[0], hi[1], lo[1], ... between k - 2 zeros in front and k behind,
+    # read backwards: window j holds lo[j], hi[j], lo[j-1], hi[j-1], ..., every
+    # term of outputs 2j and 2j+1 in the order the taps meet them
+    padded = np.zeros((rows, 2 * m + 2 * k - 2))
+    padded[:, k - 2:k - 2 + 2 * m:2] = hi
+    padded[:, k - 1:k - 1 + 2 * m:2] = lo
+    windows = sliding_window_view(padded, k, axis=1)[:, ::2, ::-1]
+    full = np.empty((rows, m + k // 2, 2))
+    for p in (0, 1):
+        taps = np.stack([bank.rec_lo[p::2], bank.rec_hi[p::2]], axis=1).ravel()
+        np.matmul(windows, _in_tap_order(taps), out=full[..., p])
+    full = full.reshape(rows, -1)[:, :-1]  # 2m + k - 1 columns, the last one zero
     if mode == PadMode.PERIODIZATION:
         n2 = 2 * m
         out = full[:, :n2].copy()
@@ -353,9 +358,7 @@ def wpt(s: Signal, bank: WaveletFilterBank, levels: int,
     bands = s.samples[np.newaxis]
     for _ in range(levels):
         lo, hi = _analysis_pair(bands, bank, mode)
-        bands = np.empty((2 * lo.shape[0], lo.shape[1]))
-        bands[0::2] = lo
-        bands[1::2] = hi
+        bands = np.stack([lo, hi], axis=1).reshape(2 * lo.shape[0], lo.shape[1])
     ordered = np.empty_like(bands)
     ordered[gray_permutation(levels)] = bands
     return TFRepresentation(ordered, WptConfig(bank.name, levels, mode), s.rate, n)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tfsep import harness
+from tfsep import cli, harness
 from tfsep.cli import _stft_config, build_parser, main
 from tfsep.harness import build_config, default_grid, load_wav, save_wav
 from tfsep.signal import Signal
@@ -202,6 +202,29 @@ class TestExperimentCommand:
         rows = out.read_text().strip().split("\n")[1:]
         assert len(rows) == 48 + 56 * 6 * 2  # max_level(64) == 6
         assert all(row.split(",")[8] == "ok" for row in rows)
+
+    def test_default_grid_decodes_each_wav_once_after_the_speaker_check(
+            self, tmp_path, monkeypatch):
+        corpus = tmp_path / "four"
+        gen = np.random.default_rng(3)
+        for sp in range(4):
+            (corpus / f"s{sp}").mkdir(parents=True)
+            for u in range(2):
+                save_wav(Signal(0.4 * gen.normal(size=64), 16000), corpus / f"s{sp}" / f"{u}.wav")
+        decoded = []
+
+        def counting_load_wav(path):
+            decoded.append(path)
+            return load_wav(path)
+
+        monkeypatch.setattr(harness, "load_wav", counting_load_wav)
+        monkeypatch.setattr(cli, "load_wav", counting_load_wav)
+        args = ["experiment", "--corpus", str(corpus), "--mixtures", "1", "--grid", "default",
+                "--out", str(tmp_path / "r.csv")]
+        assert main([*args, "--speakers", "5"]) == 2
+        assert decoded == []
+        assert main(args) == 0
+        assert sorted(decoded) == sorted(corpus.glob("*/*.wav"))
 
 
 class TestGridFileChecks:

@@ -1,8 +1,9 @@
 """Differential tests: the FFT, the STFT and the resampler against independent
-oracles (numpy.fft and scipy.signal, used here only, never by the package), and
+oracles (numpy.fft and scipy.signal, used here only, never by the package), the
+wavelet filter-bank kernels against a frozen per-tap implementation, and
 decompose -> reconstruct for the wavelet configs at the edges of their range:
 odd lengths, every depth up to max_level, all three boundary modes."""
-from math import gcd
+from math import ceil, gcd
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.signal import resample_poly
 from tfsep.fourier import StftConfig, WindowKind, fft, ifft, make_window, stft
 from tfsep.masking import DwtConfig, WptConfig, decompose, reconstruct
 from tfsep.signal import PadMode, Signal, resample
-from tfsep.wavelet import max_level
+from tfsep.wavelet import _analysis_pair, _synthesis_pair, lookup, max_level
 
 
 @pytest.mark.parametrize("log2n", range(17))
@@ -101,3 +102,75 @@ def test_wavelet_roundtrip_at_odd_lengths_up_to_max_level(config, mode, wavelet,
             assert len(back) == n
             err = np.max(np.abs(back.samples - s.samples))
             assert err < 1e-10, (n, levels, err)
+
+
+# The filter-bank kernels as one numpy operation per tap, with the tiled
+# periodization extension for bands shorter than the filter. The package's
+# strided-window products must give these coefficients bit for bit.
+
+def _per_tap_analysis(bands, bank, mode):
+    k = len(bank)
+    n = bands.shape[1]
+    if mode == PadMode.PERIODIZATION:
+        if n % 2:
+            bands = np.concatenate([bands, np.zeros((bands.shape[0], 1))], axis=1)
+            n += 1
+        if k - 1 <= n:
+            ext = np.concatenate([bands, bands[:, :k - 1]], axis=1)
+        else:
+            reps = ceil((n + k - 1) / n)
+            ext = np.tile(bands, (1, reps))[:, :n + k - 1]
+        phase, out_len = 0, n // 2
+    else:
+        pad_kw = {} if mode == PadMode.ZERO else {"mode": "symmetric"}
+        ext = np.pad(bands, [(0, 0), (k - 1, k - 1)], **pad_kw)
+        phase, out_len = 1, (n + k - 1) // 2
+    lo = np.zeros((bands.shape[0], out_len))
+    hi = np.zeros_like(lo)
+    for i in range(k):
+        seg = ext[:, phase + i: phase + i + 2 * out_len - 1: 2]
+        lo += bank.rec_lo[i] * seg
+        hi += bank.rec_hi[i] * seg
+    return lo, hi
+
+
+def _per_tap_synthesis(lo, hi, bank, mode, out_len):
+    k = len(bank)
+    m = lo.shape[1]
+    full = np.zeros((lo.shape[0], 2 * m + k - 1))
+    for i in range(k):
+        full[:, i: i + 2 * m: 2] += bank.rec_lo[i] * lo
+        full[:, i: i + 2 * m: 2] += bank.rec_hi[i] * hi
+    if mode == PadMode.PERIODIZATION:
+        n2 = 2 * m
+        out = full[:, :n2].copy()
+        for start in range(n2, full.shape[1], n2):
+            block = full[:, start:start + n2]
+            out[:, :block.shape[1]] += block
+        return out[:, :out_len]
+    return full[:, k - 2: k - 2 + out_len]
+
+
+def _bit_identical(ours, ref):
+    return (ours.shape == ref.shape and np.array_equal(ours, ref)
+            and np.array_equal(np.signbit(ours), np.signbit(ref)))
+
+
+@pytest.mark.parametrize("mode", [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC])
+@pytest.mark.parametrize("wavelet", ["haar", "db2", "sym8", "db20", "coif17"])
+def test_filter_bank_kernels_match_per_tap_oracle(wavelet, mode, rng):
+    bank = lookup(wavelet)
+    # 1, 2, 3 and 7 are shorter than most of these filters (k - 1 > n)
+    for n in (1, 2, 3, 7, 8, 64, 101, 1000, 1001, 12344, 12345):
+        for rows in (1, 3):
+            x = rng.normal(size=(rows, n))
+            x[:, n // 3: n // 3 + 9] = 0.25          # a constant run
+            half = n // 2
+            x[:, 1:half:2] = x[:, 0:half - 1:2]      # equal pairs: Haar details of exactly 0
+            lo, hi = _analysis_pair(x, bank, mode)
+            ref_lo, ref_hi = _per_tap_analysis(x, bank, mode)
+            assert _bit_identical(lo, ref_lo) and _bit_identical(hi, ref_hi), (n, rows)
+            for out_len in (n, 2 * lo.shape[1]):
+                ours = _synthesis_pair(lo, hi, bank, mode, out_len)
+                ref = _per_tap_synthesis(lo, hi, bank, mode, out_len)
+                assert _bit_identical(ours, ref), (n, rows, out_len)

@@ -104,6 +104,8 @@ class TestMalformedInputs:
         from tfsep.wavelet import WaveletFilterBank
         with pytest.raises(ValueError):
             WaveletFilterBank("odd", np.ones(4), np.ones(3), np.ones(4), np.ones(4), 1)
+        with pytest.raises(ValueError, match="even"):  # the synthesis windows pair taps
+            WaveletFilterBank("odd", np.ones(3), np.ones(3), np.ones(3), np.ones(3), 1)
 
 
 class TestGridExtras:

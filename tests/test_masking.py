@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tfsep.fourier import StftConfig, WindowKind
-from tfsep.masking import (DwtConfig, Mask, MaskKind, WptConfig, add, apply_mask,
+from tfsep.masking import (DwtConfig, WptConfig, add, apply_mask,
                            decompose, ideal_binary_mask, ideal_ratio_mask,
                            reconstruct)
 from tfsep.signal import Signal
@@ -70,28 +70,28 @@ class TestIdealBinaryMask:
     def test_target_dominates(self, rng):
         S, N = _tf_pair(3.0, 1.0, rng)
         mask = ideal_binary_mask(S, N)
-        assert mask.kind is MaskKind.BINARY
-        assert np.all(mask.weights == 1.0)
+        assert mask.dtype == np.float64 and mask.shape == S.coeffs.shape
+        assert np.all(mask == 1.0)
 
     def test_tie_goes_to_target(self, rng):
         S, N = _tf_pair(2.0, 2.0, rng)
         mask = ideal_binary_mask(S, N)
-        assert np.all(mask.weights == 1.0)
+        assert np.all(mask == 1.0)
         zeros, _ = _tf_pair(0.0, 0.0, rng)
         mask = ideal_binary_mask(zeros, zeros)
-        assert np.all(mask.weights == 1.0)
+        assert np.all(mask == 1.0)
 
     def test_threshold_limits(self, rng):
         S, N = _tf_pair(5.0, 1.0, rng)
-        assert np.all(ideal_binary_mask(S, N, np.inf).weights == 0.0)
-        assert np.all(ideal_binary_mask(N, S, -np.inf).weights == 1.0)
+        assert np.all(ideal_binary_mask(S, N, np.inf) == 0.0)
+        assert np.all(ideal_binary_mask(N, S, -np.inf) == 1.0)
 
     def test_mask_values_are_binary(self, rng):
         x = Signal(rng.normal(size=3000), 16000)
         y = Signal(rng.normal(size=3000), 16000)
         cfg = DwtConfig("db4", 3)
         mask = ideal_binary_mask(decompose(x, cfg), decompose(y, cfg))
-        assert set(np.unique(mask.weights)) <= {0.0, 1.0}
+        assert set(np.unique(mask)) <= {0.0, 1.0}
 
     def test_complementary_masks_cover_everything(self, rng):
         x = Signal(rng.normal(size=3000), 16000)
@@ -100,7 +100,7 @@ class TestIdealBinaryMask:
         S, N = decompose(x, cfg), decompose(y, cfg)
         m_target = ideal_binary_mask(S, N)
         m_other = ideal_binary_mask(N, S)
-        a, b = m_target.weights, m_other.weights
+        a, b = m_target, m_other
         assert np.all(a + b >= 1.0)
         ties = np.abs(S.coeffs) == np.abs(N.coeffs)
         assert np.all((a + b)[~ties] == 1.0)  # bins partition except ties
@@ -116,15 +116,15 @@ class TestIdealBinaryMask:
 class TestIdealRatioMask:
     def test_equal_magnitudes_give_half(self, rng):
         S, N = _tf_pair(2.0, 2.0, rng)
-        assert np.allclose(ideal_ratio_mask(S, N).weights, 0.5)
+        assert np.allclose(ideal_ratio_mask(S, N), 0.5)
 
     def test_one_to_three(self, rng):
         S, N = _tf_pair(1.0, 3.0, rng)
-        assert np.allclose(ideal_ratio_mask(S, N).weights, 0.1)
+        assert np.allclose(ideal_ratio_mask(S, N), 0.1)
 
     def test_silent_bins_get_zero(self, rng):
         S, N = _tf_pair(0.0, 0.0, rng)
-        assert np.all(ideal_ratio_mask(S, N).weights == 0.0)
+        assert np.all(ideal_ratio_mask(S, N) == 0.0)
 
     def test_noiseless_mask_is_identity(self, rng):
         s = Signal(rng.normal(size=6000), 16000)
@@ -141,7 +141,7 @@ class TestIdealRatioMask:
         y = Signal(rng.normal(size=3000), 16000)
         cfg = WptConfig("db5", 4)
         S, N = decompose(x, cfg), decompose(y, cfg)
-        a, b = ideal_ratio_mask(S, N).weights, ideal_ratio_mask(N, S).weights
+        a, b = ideal_ratio_mask(S, N), ideal_ratio_mask(N, S)
         assert np.all((a >= 0.0) & (a <= 1.0))
         assert np.allclose(a + b, 1.0)
 
@@ -150,14 +150,19 @@ class TestApplyMask:
     def test_all_ones_is_identity(self, rng):
         s = Signal(rng.normal(size=5000), 16000)
         tf = decompose(s, stft_32ms(16000))
-        ones = Mask(np.ones(tf.coeffs.shape), MaskKind.BINARY)
+        ones = np.ones(tf.coeffs.shape)
         masked = apply_mask(tf, ones)
         assert np.array_equal(masked.coeffs, tf.coeffs)
+
+    def test_shape_mismatch_rejected(self, rng):
+        tf = decompose(Signal(rng.normal(size=3000), 16000), DwtConfig("db4", 3))
+        with pytest.raises(ValueError, match="mask shape"):
+            apply_mask(tf, np.ones(tf.coeffs.size + 1))
 
     def test_all_zeros_reconstructs_silence(self, rng):
         s = Signal(rng.normal(size=5000), 16000)
         tf = decompose(s, DwtConfig("sym5", 4))
-        zeros = Mask(np.zeros(tf.coeffs.shape), MaskKind.BINARY)
+        zeros = np.zeros(tf.coeffs.shape)
         back = reconstruct(apply_mask(tf, zeros))
         assert np.allclose(back.samples, 0.0)
 
@@ -174,7 +179,7 @@ class TestApplyMask:
     def test_phase_preserved(self, rng):
         s = Signal(rng.normal(size=4000), 16000)
         tf = decompose(s, stft_32ms(16000))
-        half = Mask(np.full(tf.coeffs.shape, 0.5), MaskKind.RATIO)
+        half = np.full(tf.coeffs.shape, 0.5)
         a, b = apply_mask(tf, half).coeffs, tf.coeffs
         nonzero = np.abs(b) > 1e-12
         assert np.allclose(np.angle(a[nonzero]), np.angle(b[nonzero]))
