@@ -14,9 +14,9 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .fourier import StftConfig, WindowKind, export_heatmap, stft
-from .harness import (SORT_COLUMNS, DataError, SpeakerCorpus, default_grid,
-                      emit_report, grid_search, json_value, load_grid_file,
-                      load_wav, make_mixture, save_wav)
+from .harness import (SORT_COLUMNS, DataError, SpeakerCorpus, _positive_number,
+                      default_grid, emit_report, grid_search, json_value,
+                      load_grid_file, load_wav, make_mixture, save_wav)
 from .signal import Signal
 from .wavelet import (dwt_bands, dwt_heatmap_matrix, lookup, max_level, wavedec,
                       wavelet_mode, wpt)
@@ -38,15 +38,25 @@ def _at_least(minimum: int):
     return count
 
 
+def _milliseconds(text: str) -> float:
+    """An argparse type: a finite positive number, as a grid file's sizes_ms."""
+    try:
+        value = float(text)
+        _positive_number(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def _add_stft_options(p):
     p.add_argument("--window", type=WindowKind, default="hann",
                    help="hann or rectangular (rect)")
-    p.add_argument("--win-ms", type=float, default=32.0)
-    p.add_argument("--hop-ms", type=float, default=16.0)
+    p.add_argument("--win-ms", type=_milliseconds, default=32.0)
+    p.add_argument("--hop-ms", type=_milliseconds, default=16.0)
 
 
 def _add_wavelet_options(p):
-    p.add_argument("--wavelet", default="sym8")
+    p.add_argument("--wavelet", type=lookup, default="sym8")
     p.add_argument("--levels", type=_at_least(1), default=6)
     p.add_argument("--mode", type=wavelet_mode, default="periodization",
                    help="zero, periodization or symmetric")
@@ -83,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mix", help="synthesize a speaker mixture from a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--speakers", type=_at_least(2), default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--sources-dir", default=None)
 
@@ -91,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--mixtures", type=_at_least(1), default=10)
     p.add_argument("--speakers", type=_at_least(2), default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--grid", default="default")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -109,7 +119,7 @@ def _stft_config(args, rate: int) -> StftConfig:
 def _wavelet_transform(args, sig):
     """wavedec or wpt, as --method asks."""
     transform = wavedec if args.method == "dwt" else wpt
-    return transform(sig, lookup(args.wavelet), args.levels, args.mode)
+    return transform(sig, args.wavelet, args.levels, args.mode)
 
 
 def _cmd_decompose(args) -> int:

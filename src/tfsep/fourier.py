@@ -7,6 +7,7 @@ batch axis (the STFT feeds it whole frame matrices at once).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -115,8 +116,10 @@ class StftConfig:
                           rate: int) -> "StftConfig":
         """Millisecond sizes convert as floor(ms/1000 * rate); the FFT size is
         the window size rounded up to the next power of two."""
-        win = int(win_ms / 1000.0 * rate)
-        hop = int(hop_ms / 1000.0 * rate)
+        win, hop = win_ms / 1000.0 * rate, hop_ms / 1000.0 * rate
+        if not (math.isfinite(win) and math.isfinite(hop)):
+            raise ValueError(f"window/hop not finite: {win_ms} ms / {hop_ms} ms at {rate} Hz")
+        win, hop = int(win), int(hop)
         if win < 2 or hop < 1:
             raise ValueError(f"window/hop too small: {win_ms} ms / {hop_ms} ms at {rate} Hz")
         return cls(window, win, hop, 1 << max(1, (win - 1).bit_length()))
@@ -134,6 +137,11 @@ def _frame(x: np.ndarray, win_size: int, hop: int) -> np.ndarray:
     return view[::hop]
 
 
+# frames x fft_size of one STFT: 512 MiB of complex128, 8.5x the largest
+# default-grid STFT of a 12 s, 44.1 kHz recording (100 ms, 25 ms hop)
+STFT_MAX_POINTS = 1 << 25
+
+
 def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
     """Short-time Fourier transform: one coefficient row per analyzed
     frequency (fft_size/2 + 1 rows), one column per frame.
@@ -141,19 +149,19 @@ def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
     The signal is zero-padded by win_size//2 at both ends (so every sample is
     covered by a window) plus enough at the tail to complete the last frame,
     then segmented at stride hop, windowed, zero-padded to fft_size, and
-    transformed.
+    transformed. A frame matrix of more than STFT_MAX_POINTS frames x
+    fft_size points is rejected before anything is allocated.
     """
     if len(s) == 0:
         raise ValueError("cannot STFT an empty signal")
-    win = make_window(cfg.window, cfg.win_size)
     edge = cfg.win_size // 2
-    x = np.concatenate([np.zeros(edge), s.samples, np.zeros(edge)])
-    if x.size < cfg.win_size:
-        x = np.concatenate([x, np.zeros(cfg.win_size - x.size)])
-    rem = (x.size - cfg.win_size) % cfg.hop
-    if rem:
-        x = np.concatenate([x, np.zeros(cfg.hop - rem)])
-    frames = _frame(x, cfg.win_size, cfg.hop) * win
+    n_frames = -(-(len(s) + 2 * edge - cfg.win_size) // cfg.hop) + 1
+    if n_frames * cfg.fft_size > STFT_MAX_POINTS:
+        raise ValueError(f"STFT too large: {n_frames} frames x {cfg.fft_size} FFT points "
+                         f"exceeds {STFT_MAX_POINTS} points")
+    x = np.zeros((n_frames - 1) * cfg.hop + cfg.win_size)
+    x[edge:edge + len(s)] = s.samples
+    frames = _frame(x, cfg.win_size, cfg.hop) * make_window(cfg.window, cfg.win_size)
     padded = np.zeros((frames.shape[0], cfg.fft_size), dtype=np.complex128)
     padded[:, :cfg.win_size] = frames
     spec = _fft_core(padded, -1.0)[:, :cfg.fft_size // 2 + 1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import wave
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -251,7 +252,7 @@ def default_grid(max_levels: int, full_depth: bool = False) -> list[GridEntry]:
 
 def _positive_number(value):
     if type(value) not in (int, float) or not 0 < value < math.inf:
-        raise ValueError(f"{value!r} is not a positive number")
+        raise ValueError(f"{value!r} is not a finite positive number")
 
 
 def _positive_int(value):
@@ -355,8 +356,9 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
     """Evaluate every grid entry on one fixed, seeded set of mixtures.
 
     Configurations that cannot handle a mixture (e.g. more levels than the
-    signal length allows) produce a failed row; the run continues. Results
-    are deterministic for a given corpus/seed/grid regardless of jobs.
+    signal length allows) produce a failed row; the run continues. Trials
+    run on min(jobs, os.cpu_count()) threads, in-process when that is 1.
+    Results are deterministic for a given corpus/seed/grid regardless of jobs.
     """
     if not grid:
         raise ValueError("grid is empty")
@@ -375,8 +377,9 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
             return exc
 
     tasks = [(entry, mix) for entry in grid for mix in mixtures]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(evaluate, tasks))
     else:
         outcomes = [evaluate(t) for t in tasks]

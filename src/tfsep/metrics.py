@@ -98,6 +98,31 @@ def _stoi_band_matrix() -> np.ndarray:
     return ((freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])).astype(float)
 
 
+def _stoi_segments(sig: Signal, keep=None):
+    """The 30-frame envelope segments (segments x bands x 30) of sig at
+    10 kHz, over the frames `keep` selects, and `keep`. Without `keep`, sig
+    is the clean signal: it must be long enough and not silent, and its
+    frames within 40 dB of its loudest frame are kept."""
+    x = resample(sig, _STOI_RATE).samples
+    if keep is None and x.size < _STOI_WIN:
+        raise MetricError("signals too short for STOI (need at least 384 ms)")
+    if keep is None and not np.any(x):
+        raise MetricError("clean signal is silent")
+    frames = _frame(x, _STOI_WIN, _STOI_HOP) * make_window(WindowKind.HANN, _STOI_WIN)
+    if keep is None:
+        energy = np.sum(frames ** 2, axis=1)
+        keep = energy > energy.max() * 10.0 ** (-_STOI_SILENCE_DB / 10.0)
+        if np.count_nonzero(keep) < _STOI_FRAMES:
+            raise MetricError(
+                f"fewer than {_STOI_FRAMES} frames remain after silent-frame removal")
+    spec = np.abs(_fft_core(frames[keep].astype(np.complex128), -1.0)[:, :_STOI_WIN // 2 + 1])
+    envelopes = np.sqrt(_stoi_band_matrix() @ (spec.T ** 2))   # (bands x frames)
+    # a contiguous copy, so each 30-frame reduction adds in the same order as
+    # over a slice of the envelopes
+    windows = np.lib.stride_tricks.sliding_window_view(envelopes.T, _STOI_FRAMES, axis=0)
+    return windows.copy(), keep
+
+
 def stoi(s, s_hat, rate: int) -> float:
     """Short-time objective intelligibility of s_hat against clean s, in [0, 1].
 
@@ -107,43 +132,15 @@ def stoi(s, s_hat, rate: int) -> float:
     Zero-variance envelope pairs contribute a correlation of 0.
     """
     s, s_hat = _as_pair(s, s_hat)
-    clean = resample(Signal(s, rate), _STOI_RATE).samples
-    degraded = resample(Signal(s_hat, rate), _STOI_RATE).samples
-    if clean.size < _STOI_WIN:
-        raise MetricError("signals too short for STOI (need at least 384 ms)")
-    if not np.any(clean):
-        raise MetricError("clean signal is silent")
-
-    window = make_window(WindowKind.HANN, _STOI_WIN)
-    frames_c = _frame(clean, _STOI_WIN, _STOI_HOP) * window
-    frames_d = _frame(degraded, _STOI_WIN, _STOI_HOP) * window
-    energy = np.sum(frames_c ** 2, axis=1)
-    keep = energy > energy.max() * 10.0 ** (-_STOI_SILENCE_DB / 10.0)
-    frames_c = frames_c[keep]
-    frames_d = frames_d[keep]
-    if frames_c.shape[0] < _STOI_FRAMES:
-        raise MetricError(
-            f"fewer than {_STOI_FRAMES} frames remain after silent-frame removal")
-
-    spec_c = np.abs(_fft_core(frames_c.astype(np.complex128), -1.0)[:, :_STOI_WIN // 2 + 1])
-    spec_d = np.abs(_fft_core(frames_d.astype(np.complex128), -1.0)[:, :_STOI_WIN // 2 + 1])
-    bands = _stoi_band_matrix()
-    env_c = np.sqrt(bands @ (spec_c.T ** 2))   # (bands x frames)
-    env_d = np.sqrt(bands @ (spec_d.T ** 2))
-
-    n_frames = env_c.shape[1]
-    clip_gain = 1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)
-    correlations = []
-    for m in range(_STOI_FRAMES - 1, n_frames):
-        x = env_c[:, m - _STOI_FRAMES + 1: m + 1]
-        y = env_d[:, m - _STOI_FRAMES + 1: m + 1]
-        norm_x = np.linalg.norm(x, axis=1, keepdims=True)
-        norm_y = np.linalg.norm(y, axis=1, keepdims=True)
-        scale = norm_x / np.where(norm_y == 0.0, 1.0, norm_y)
-        y = np.minimum(y * scale, clip_gain * x)
-        xc = x - x.mean(axis=1, keepdims=True)
-        yc = y - y.mean(axis=1, keepdims=True)
-        denom = np.linalg.norm(xc, axis=1) * np.linalg.norm(yc, axis=1)
-        num = np.sum(xc * yc, axis=1)
-        correlations.append(np.where(denom == 0.0, 0.0, num / np.where(denom == 0.0, 1.0, denom)))
-    return float(np.mean(correlations))
+    clean, degraded = Signal(s, rate), Signal(s_hat, rate)  # both checked before scoring
+    x, keep = _stoi_segments(clean)
+    y, _ = _stoi_segments(degraded, keep)
+    norm_x = np.linalg.norm(x, axis=-1, keepdims=True)
+    norm_y = np.linalg.norm(y, axis=-1, keepdims=True)
+    scale = norm_x / np.where(norm_y == 0.0, 1.0, norm_y)
+    y = np.minimum(y * scale, (1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)) * x)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    yc = y - y.mean(axis=-1, keepdims=True)
+    denom = np.linalg.norm(xc, axis=-1) * np.linalg.norm(yc, axis=-1)
+    num = np.sum(xc * yc, axis=-1)
+    return float(np.mean(np.where(denom == 0.0, 0.0, num / np.where(denom == 0.0, 1.0, denom))))

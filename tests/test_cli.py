@@ -86,7 +86,9 @@ class TestNameOptions:
     @pytest.mark.parametrize("argv", [
         ["spectrogram", "--window", "hamming"],
         ["scaleogram", "--mode", "periodic"],
-        ["decompose", "--method", "dwt", "--mode", "periodic"]])
+        ["decompose", "--method", "dwt", "--mode", "periodic"],
+        ["decompose", "--method", "dwt", "--wavelet", "sym88"],
+        ["scaleogram", "--wavelet", "sym88"]])
     def test_bad_names_exit_one(self, argv, wav_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--in", str(wav_file), "--out", str(tmp_path / "out")])
@@ -267,11 +269,16 @@ class TestUsageErrors:
         ("experiment", "--mixtures", "0"), ("experiment", "--mixtures", "-1"),
         ("experiment", "--jobs", "0"), ("experiment", "--speakers", "1"),
         ("experiment", "--speakers", "0"), ("mix", "--speakers", "-3"),
-        ("decompose", "--levels", "0"), ("scaleogram", "--levels", "0")])
+        ("decompose", "--levels", "0"), ("scaleogram", "--levels", "0"),
+        ("mix", "--seed", "-1"), ("experiment", "--seed", "-1"),
+        *[(command, option, value) for command, option in
+          (("decompose", "--win-ms"), ("spectrogram", "--hop-ms"))
+          for value in ("nan", "inf", "0", "-1")]])
     def test_counts_below_one_exit_one(self, command, option, value, tmp_path, capsys):
         required = {"experiment": ["--corpus", str(tmp_path)],
                     "mix": ["--corpus", str(tmp_path)],
-                    "decompose": ["--in", str(tmp_path / "x.wav"), "--method", "dwt"],
+                    "decompose": ["--in", str(tmp_path / "x.wav"), "--method", "stft"],
+                    "spectrogram": ["--in", str(tmp_path / "x.wav")],
                     "scaleogram": ["--in", str(tmp_path / "x.wav")]}[command]
         with pytest.raises(SystemExit) as exc:
             main([command, *required, "--out", str(tmp_path / "r.csv"), option, value])

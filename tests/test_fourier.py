@@ -1,4 +1,6 @@
 import csv
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,12 @@ class TestStftConfig:
         cfg = StftConfig.from_milliseconds(WindowKind.HANN, 50.0, 25.0, 16000)
         assert cfg.win_size == 800 and cfg.fft_size == 1024
 
+    @pytest.mark.parametrize("win_ms, hop_ms", [
+        (math.inf, 16.0), (math.nan, 16.0), (32.0, math.inf), (1e308, 5e307)])
+    def test_non_finite_sample_counts_rejected(self, win_ms, hop_ms):
+        with pytest.raises(ValueError, match="not finite"):
+            StftConfig.from_milliseconds(WindowKind.HANN, win_ms, hop_ms, 44100)
+
 
 class TestStft:
     def test_one_minute_recording_shape(self, rng):
@@ -115,6 +123,22 @@ class TestStft:
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError):
             stft(Signal(np.zeros(0), 8000), StftConfig(WindowKind.HANN, 16, 8, 16))
+
+    @pytest.mark.parametrize("cfg", [
+        # a 1e9 ms window (1.6e10 samples), and a 1-sample hop under a 2^20 window:
+        # their complex frame matrices would take 512 GiB and 250 GiB
+        StftConfig.from_milliseconds(WindowKind.HANN, 1e9, 5e8, 16000),
+        StftConfig(WindowKind.RECTANGULAR, 1 << 20, 1, 1 << 20)])
+    def test_oversized_frame_matrix_rejected_before_allocating(self, cfg):
+        s = Signal(np.zeros(16000), 16000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="frames x"):
+                stft(s, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_linearity(self, rng):
         cfg = StftConfig(WindowKind.HANN, 64, 32, 64)

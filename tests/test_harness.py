@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -223,6 +225,42 @@ class TestGridSearch:
         assert failed[0].stoi is None
         assert "levels" in failed[0].status
         assert report.rows[0].status == "ok"
+
+    @pytest.mark.parametrize("size_ms", [1e308, 1e9])
+    def test_unbounded_stft_row_fails(self, small_corpus, size_ms):
+        # 1e308 ms is an infinite sample count, 1e9 ms a 119 GiB window
+        corpus = SpeakerCorpus.from_dir(small_corpus)
+        grid = [stft_entry("hann", size_ms, 0.5), stft_entry("hann", 32.0, 0.5)]
+        report = grid_search(corpus, grid, n_mixtures=1, seed=3)
+        assert report.rows[0].status == "ok"
+        assert report.rows[1].status.startswith("failed: ")
+
+    def test_threads_bounded_by_the_cpus(self, small_corpus, monkeypatch):
+        pools = []
+
+        class InlinePool:  # records its size and runs the tasks in order
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", InlinePool)
+        corpus = SpeakerCorpus.from_dir(small_corpus)
+        strip = lambda rep: [dataclasses.replace(r, time_s=None) for r in rep.rows]
+        reports = []
+        for cpus in (2, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            reports.append(grid_search(corpus, _small_grid(), n_mixtures=1, seed=3,
+                                       jobs=100000))
+        assert pools == [2]  # and no pool when the CPU count is unknown
+        assert strip(reports[0]) == strip(reports[1])
 
     def test_deterministic_across_runs_and_jobs(self, small_corpus):
         corpus = SpeakerCorpus.from_dir(small_corpus)

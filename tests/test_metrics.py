@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tfsep import metrics
 from tfsep.metrics import MetricError, mse, si_sdr, snr, stoi
 from tfsep.synth import speech_like
 
@@ -116,3 +117,95 @@ class TestStoi:
         garbage = rng.normal(size=clean.size)
         value = stoi(clean, garbage, 16000)
         assert 0.0 <= value <= 1.0
+
+
+def _frozen_stoi(s, s_hat, rate):
+    """stoi as it was before its two pipelines became one function and its
+    segment loop one strided view: the oracle the current stoi must match."""
+    m = metrics
+    s, s_hat = m._as_pair(s, s_hat)
+    clean = m.resample(m.Signal(s, rate), m._STOI_RATE).samples
+    degraded = m.resample(m.Signal(s_hat, rate), m._STOI_RATE).samples
+    if clean.size < m._STOI_WIN:
+        raise MetricError("signals too short for STOI (need at least 384 ms)")
+    if not np.any(clean):
+        raise MetricError("clean signal is silent")
+
+    window = m.make_window(m.WindowKind.HANN, m._STOI_WIN)
+    frames_c = m._frame(clean, m._STOI_WIN, m._STOI_HOP) * window
+    frames_d = m._frame(degraded, m._STOI_WIN, m._STOI_HOP) * window
+    energy = np.sum(frames_c ** 2, axis=1)
+    keep = energy > energy.max() * 10.0 ** (-m._STOI_SILENCE_DB / 10.0)
+    frames_c = frames_c[keep]
+    frames_d = frames_d[keep]
+    if frames_c.shape[0] < m._STOI_FRAMES:
+        raise MetricError(
+            f"fewer than {m._STOI_FRAMES} frames remain after silent-frame removal")
+
+    spec_c = np.abs(m._fft_core(frames_c.astype(np.complex128), -1.0)[:, :m._STOI_WIN // 2 + 1])
+    spec_d = np.abs(m._fft_core(frames_d.astype(np.complex128), -1.0)[:, :m._STOI_WIN // 2 + 1])
+    bands = m._stoi_band_matrix()
+    env_c = np.sqrt(bands @ (spec_c.T ** 2))
+    env_d = np.sqrt(bands @ (spec_d.T ** 2))
+
+    n_frames = env_c.shape[1]
+    clip_gain = 1.0 + 10.0 ** (-m._STOI_CLIP_DB / 20.0)
+    correlations = []
+    for k in range(m._STOI_FRAMES - 1, n_frames):
+        x = env_c[:, k - m._STOI_FRAMES + 1: k + 1]
+        y = env_d[:, k - m._STOI_FRAMES + 1: k + 1]
+        norm_x = np.linalg.norm(x, axis=1, keepdims=True)
+        norm_y = np.linalg.norm(y, axis=1, keepdims=True)
+        scale = norm_x / np.where(norm_y == 0.0, 1.0, norm_y)
+        y = np.minimum(y * scale, clip_gain * x)
+        xc = x - x.mean(axis=1, keepdims=True)
+        yc = y - y.mean(axis=1, keepdims=True)
+        denom = np.linalg.norm(xc, axis=1) * np.linalg.norm(yc, axis=1)
+        num = np.sum(xc * yc, axis=1)
+        correlations.append(np.where(denom == 0.0, 0.0, num / np.where(denom == 0.0, 1.0, denom)))
+    return float(np.mean(correlations))
+
+
+def _stoi_outcome(fn, clean, degraded, rate):
+    try:
+        return fn(clean, degraded, rate)
+    except MetricError as exc:
+        return f"MetricError: {exc}"
+
+
+class TestStoiMatchesFrozenLoop:
+    @pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 44100])
+    @pytest.mark.parametrize("duration", [0.02, 0.3, 0.39, 1.7])
+    def test_every_degradation(self, rate, duration):
+        # 0.02 s is under one 256-sample frame at 10 kHz, 0.3 s under 30 frames
+        gen = np.random.default_rng(round(rate * duration))
+        def draw():
+            if duration > 0.1:
+                return speech_like(duration, rate, gen).samples
+            return gen.normal(size=int(rate * duration))
+        clean, other = draw(), draw()
+        n = clean.size
+        noise = gen.normal(size=n)
+        cases = {"mixture": clean + other, "clean": clean, "scaled": 0.3 * clean,
+                 "noisy": clean + 0.1 * noise, "silence": np.zeros(n), "unrelated": noise}
+        for name, degraded in cases.items():
+            assert (_stoi_outcome(stoi, clean, degraded, rate)
+                    == _stoi_outcome(_frozen_stoi, clean, degraded, rate)), name
+
+    def test_twelve_seconds(self, rng):
+        clean = speech_like(12.0, 16000, np.random.default_rng(12)).samples
+        other = speech_like(12.0, 16000, np.random.default_rng(13)).samples
+        for degraded in (clean + other, clean + 0.1 * rng.normal(size=clean.size)):
+            assert stoi(clean, degraded, 16000) == _frozen_stoi(clean, degraded, 16000)
+
+    @pytest.mark.parametrize("rate, n", [(10000, 4863), (16000, 7780)])
+    def test_clean_sound_only_after_the_last_full_frame(self, rate, n, rng):
+        # at 10 kHz both are 4863 samples: 36 full frames end at 4736, and the
+        # 64-tap resampler spreads the last 100 input samples over fewer than
+        # the 127 that follow, so every frame is silent but the signal is not
+        clean = np.zeros(n)
+        clean[-100:] = rng.normal(size=100)
+        degraded = rng.normal(size=n)
+        outcome = _stoi_outcome(stoi, clean, degraded, rate)
+        assert outcome == _stoi_outcome(_frozen_stoi, clean, degraded, rate)
+        assert outcome == "MetricError: fewer than 30 frames remain after silent-frame removal"
