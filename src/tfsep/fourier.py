@@ -1,8 +1,12 @@
-"""Radix-2 FFT, window functions, forward/inverse STFT, and heatmap export.
+"""Radix-4 Stockham FFT, real-input transforms, window functions,
+forward/inverse STFT, and heatmap export.
 
-The FFT is implemented here rather than delegated, with an iterative
-decimation-in-time scheme whose butterflies are vectorized over a leading
-batch axis (the STFT feeds it whole frame matrices at once).
+The FFT is implemented here rather than delegated. `_fft_core` is an
+autosort (Stockham) transform in radix-4 steps over cache-sized chunks of a
+batch of rows; its outputs equal the radix-2 decimation-in-time transform's
+bit for bit. `_rfft` and `_irfft` handle real rows of N samples as one
+N/2-point complex transform of the packed even and odd samples (Sorensen,
+Jones, Heideman and Burrus, IEEE TASSP 1987), and the STFT uses them.
 """
 from __future__ import annotations
 
@@ -35,30 +39,89 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+# points of one batch chunk: its buffers (3 x 256 KiB at this size) and twiddles
+# stay in a 2 MiB L2 cache while the stages sweep over them (2^13 to 2^15 timed
+# alike on a 2-vCPU Xeon VM; a whole 480 x 1024 batch at once took twice as long)
+_CHUNK_POINTS = 1 << 14
+
+# transforms of up to this many points keep their twiddle tables in the
+# lru_caches below (8.1 MiB measured after every such size and both signs);
+# longer ones build them afresh on each call, so no call leaves them resident
+_CACHED_POINTS = 2 * _CHUNK_POINTS
+
+
+def _tables(make, n: int):
+    """`make`, an lru_cache'd table builder, for an n-point transform: the
+    cached one up to _CACHED_POINTS points, the uncached one above."""
+    return make if n <= _CACHED_POINTS else make.__wrapped__
+
+
 @lru_cache(maxsize=None)
-def _bit_reversal(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(n.bit_length() - 1):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    rev.setflags(write=False)
-    return rev
+def _twiddles(m: int, sign: float, width: int) -> np.ndarray:
+    """exp(sign*i*pi*k/m) for k < m, the twiddles of the radix-2 step that
+    joins two m-point DFTs, one row per k repeated across `width` columns."""
+    tw = np.exp((sign * 1j * np.pi / m) * np.arange(m))
+    tw = np.repeat(tw[:, None], width, axis=1)
+    tw.setflags(write=False)
+    return tw
+
+
+def _butterfly(top, bottom, tw, plus, minus):
+    """plus = top + tw*bottom and minus = top - tw*bottom (minus holds the
+    product first)."""
+    np.multiply(bottom, tw, out=minus)
+    np.add(top, minus, out=plus)
+    np.subtract(top, minus, out=minus)
 
 
 def _fft_core(x: np.ndarray, sign: float) -> np.ndarray:
+    """Unnormalized DFT sum_n x[n] exp(sign*2*pi*i*k*n/N) along the last axis,
+    N a power of two, as a new complex128 array; x is only read. The result
+    is C-contiguous, except for a Fortran-ordered matrix x (the transpose of
+    a C one), whose result is Fortran-ordered too.
+
+    A Stockham autosort in radix-4 steps, after one radix-2 step when log2 N
+    is odd. Each radix-4 step is its two radix-2 levels with their own
+    twiddles, so every output is the radix-2 decimation-in-time result bit
+    for bit. The batch runs in chunks of about _CHUNK_POINTS points, copied
+    in transposed so that the batch is the contiguous axis: a chunk buffer
+    viewed as (N/L, L, cols) holds at [r, k] the L-point DFT of each row's
+    samples r, r + N/L, r + 2N/L, ... at frequency k.
+    """
     n = x.shape[-1]
-    out = x[..., _bit_reversal(n)]
-    m = 1
-    while m < n:
-        tw = np.exp((sign * 1j * np.pi / m) * np.arange(m))
-        v = out.reshape(out.shape[:-1] + (n // (2 * m), 2, m))
-        even = v[..., 0, :]
-        odd = v[..., 1, :] * tw
-        out = np.concatenate([even + odd, even - odd], axis=-1)
-        out = out.reshape(out.shape[:-2] + (n,))
-        m *= 2
-    return out
+    rows = x.reshape(-1, n)
+    if x.ndim == 2 and x.flags.f_contiguous and not x.flags.c_contiguous:
+        out = np.empty(x.shape[::-1], dtype=np.complex128).T
+    else:
+        out = np.empty(rows.shape, dtype=np.complex128)
+    width = max(1, _CHUNK_POINTS // n)
+    cols = max(1, min(width, rows.shape[0]))
+    twiddles = _tables(_twiddles, n)
+    odd = (n.bit_length() - 1) % 2
+    first = twiddles(1, sign, width) if odd else None
+    steps = [(step, twiddles(step, sign, width), twiddles(2 * step, sign, width))
+             for step in (1 << e for e in range(odd, n.bit_length() - 1, 2))]
+    buf = np.empty((2, n, cols), dtype=np.complex128)
+    half = np.empty((2, n // 2, cols), dtype=np.complex128)
+    for lo in range(0, rows.shape[0], cols):
+        b = min(cols, rows.shape[0] - lo)
+        src, dst = buf[0, :, :b], buf[1, :, :b]
+        np.copyto(src, rows[lo:lo + b].T)
+        if odd:
+            y, d = src.reshape(n, 1, b), dst.reshape(n // 2, 2, 1, b)
+            _butterfly(y[:n // 2], y[n // 2:], first[:, :b], d[:, 0], d[:, 1])
+            src, dst = dst, src
+        for step, tw1, tw2 in steps:
+            q = n // (4 * step)
+            y = src.reshape(4 * q, step, b)
+            s, t = half[0, :, :b].reshape(2 * q, step, b), half[1, :, :b].reshape(2 * q, step, b)
+            _butterfly(y[:2 * q], y[2 * q:], tw1[:, :b], s, t)
+            d = dst.reshape(q, 4, step, b)
+            _butterfly(s[:q], s[q:], tw2[:step, :b], d[:, 0], d[:, 2])
+            _butterfly(t[:q], t[q:], tw2[step:, :b], d[:, 1], d[:, 3])
+            src, dst = dst, src
+        np.copyto(out[lo:lo + b], src.T)
+    return out.reshape(x.shape)
 
 
 def fft(x) -> np.ndarray:
@@ -78,6 +141,75 @@ def ifft(x) -> np.ndarray:
     if not _is_pow2(x.shape[-1]):
         raise ValueError(f"ifft length must be a power of two, got {x.shape[-1]}")
     return _fft_core(x, 1.0) / x.shape[-1]
+
+
+@lru_cache(maxsize=None)
+def _half_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns (1 - i w^k)/2 and (1 + i w^k)/2 for k = 0..n/2, w = exp(-2*pi*i/n).
+
+    w^(n/2) is set to exactly -1, so that bins 0 and n/2 of a real row come
+    out real and equal to the sums a complex transform gives them."""
+    w = np.exp((-2j * np.pi / n) * np.arange(n // 2 + 1))[:, None]
+    w[-1] = -1.0
+    a, b = 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
+
+
+def _rfft(frames: np.ndarray, n: int) -> np.ndarray:
+    """DFT bins 0..n/2 of each real row of the matrix `frames`, zero-padded
+    to n points (n a power of two, at least 2 and at least the row width).
+    The result is the transpose of a C-contiguous (bins x rows) array.
+
+    The n/2-point transform Z of z[j] = x[2j] + i x[2j+1] gives
+    X[k] = A[k] Z[k] + B[k] conj(Z[n/2 - k]), indices mod n/2, with the
+    half-twiddles A, B of `_half_twiddles`. All of it works bins-major, with
+    the rows on the contiguous axis, so a Fortran-ordered `frames` is read
+    in memory order.
+    """
+    rows, width = frames.shape
+    m = n // 2
+    packed = np.zeros((m, rows), dtype=np.complex128)
+    pairs = packed.view(np.float64).reshape(m, rows, 2)
+    pairs[:(width + 1) // 2, :, 0] = frames.T[0::2]
+    pairs[:width // 2, :, 1] = frames.T[1::2]
+    z = _fft_core(packed.T, -1.0).T
+    del packed, pairs                            # at most frames, z and spec at once
+    a, b = _tables(_half_twiddles, n)(n)
+    spec = np.empty((m + 1, rows), dtype=np.complex128)
+    np.conjugate(z[:1], out=spec[:1])
+    np.conjugate(z[::-1], out=spec[1:])          # conj Z[n/2 - k] for k = 1..n/2
+    spec *= b
+    spec[m] += z[0] * a[m]
+    z *= a[:m]
+    spec[:m] += z
+    return spec.T
+
+
+def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
+    """Real rows of n samples whose DFT bins 0..n/2 are the rows of the
+    matrix `spec`; the imaginary parts of bins 0 and n/2 are ignored, as in a
+    real inverse. The result is the transpose of a C-contiguous array.
+
+    Inverts `_rfft`'s packing: Z[k] = conj(A[k]) X[k] + conj(B[k]) conj(X[n/2 - k])
+    for k < n/2, then one inverse n/2-point transform gives x[2j] + i x[2j+1].
+    """
+    m = n // 2
+    a, b = _tables(_half_twiddles, n)(n)
+    x = spec.T                                   # bins-major
+    z = np.empty((m, x.shape[1]), dtype=np.complex128)
+    np.multiply(x[1:m], np.conjugate(a[1:m]), out=z[1:])
+    mirror = np.conjugate(x[m - 1:0:-1])
+    mirror *= np.conjugate(b[1:m])
+    z[1:] += mirror
+    dc, nyquist = x[0].real, x[m].real
+    z[0] = 0.5 * (dc + nyquist) + 0.5j * (dc - nyquist)
+    z = _fft_core(z.T, 1.0).T
+    samples = np.empty((m, 2, x.shape[1]))      # sample 2j + r of every row at [j, r]
+    np.divide(z.real, m, out=samples[:, 0])
+    np.divide(z.imag, m, out=samples[:, 1])
+    return samples.reshape(n, -1).T
 
 
 def make_window(kind: WindowKind, n: int) -> np.ndarray:
@@ -104,9 +236,9 @@ class StftConfig:
     fft_size: int
 
     def __post_init__(self):
-        if not (0 < self.hop <= self.win_size <= self.fft_size):
+        if not (0 < self.hop <= self.win_size <= self.fft_size) or self.win_size < 2:
             raise ValueError(
-                f"need 0 < hop <= win_size <= fft_size, got hop={self.hop} "
+                f"need 0 < hop <= win_size <= fft_size and win_size >= 2, got hop={self.hop} "
                 f"win_size={self.win_size} fft_size={self.fft_size}")
         if not _is_pow2(self.fft_size):
             raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
@@ -137,8 +269,12 @@ def _frame(x: np.ndarray, win_size: int, hop: int) -> np.ndarray:
     return view[::hop]
 
 
-# frames x fft_size of one STFT: 512 MiB of complex128, 8.5x the largest
-# default-grid STFT of a 12 s, 44.1 kHz recording (100 ms, 25 ms hop)
+# frames x fft_size of one STFT, 8.5x the largest default-grid STFT of a 12 s,
+# 44.1 kHz recording (100 ms, 25 ms hop). stft's tracemalloc peak, measured
+# from cold caches at 2^21 and 2^22 points: 24.6 bytes per point up to 2^14-point
+# FFTs (the windowed frames, the packed transform and the spectrum), so 790 MiB
+# at this limit; longer FFTs add twiddle tables built in the call, up to 40
+# bytes per point for 2 frames of 2^20 points, so up to 1.25 GiB at this limit.
 STFT_MAX_POINTS = 1 << 25
 
 
@@ -159,13 +295,37 @@ def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
     if n_frames * cfg.fft_size > STFT_MAX_POINTS:
         raise ValueError(f"STFT too large: {n_frames} frames x {cfg.fft_size} FFT points "
                          f"exceeds {STFT_MAX_POINTS} points")
-    x = np.zeros((n_frames - 1) * cfg.hop + cfg.win_size)
-    x[edge:edge + len(s)] = s.samples
-    frames = _frame(x, cfg.win_size, cfg.hop) * make_window(cfg.window, cfg.win_size)
-    padded = np.zeros((frames.shape[0], cfg.fft_size), dtype=np.complex128)
-    padded[:, :cfg.win_size] = frames
-    spec = _fft_core(padded, -1.0)[:, :cfg.fft_size // 2 + 1]
-    return TFRepresentation(spec.T.copy(), cfg, s.rate, len(s))
+    tail = (n_frames - 1) * cfg.hop + cfg.win_size - edge - len(s)
+    # Fortran order: _rfft reads each frame position across all frames
+    frames = np.multiply(_frame(np.pad(s.samples, (edge, tail)), cfg.win_size, cfg.hop),
+                         make_window(cfg.window, cfg.win_size), order="F")
+    spec = _rfft(frames, cfg.fft_size)
+    return TFRepresentation(spec.T, cfg, s.rate, len(s))
+
+
+def _overlap_add(frames: np.ndarray, window: np.ndarray, hop: int):
+    """num[t*hop + j] = sum over t of frames[t, j] * window[j], and den the
+    same sum of window[j]**2, over (frames - 1)*hop + width samples.
+
+    The weighted frames are cut into hop-wide blocks; block b of frame t
+    lands in column t + b of a hop x (frames + blocks) accumulator. Adding the
+    last block first gives every sample its frames in ascending t, so the
+    sums are bit-identical to adding one frame at a time.
+    """
+    n_frames, width = frames.shape
+    blocks = -(-width // hop)
+    weighted = np.zeros((blocks * hop, n_frames))      # frames on the contiguous axis
+    np.multiply(frames.T, window[:, None], out=weighted[:width])
+    squares = np.zeros((blocks * hop, 1))
+    squares[:width, 0] = window * window
+    num = np.zeros((hop, n_frames + blocks))
+    den = np.zeros((hop, n_frames + blocks))
+    for blk in range(blocks - 1, -1, -1):
+        rows = slice(blk * hop, (blk + 1) * hop)
+        num[:, blk:blk + n_frames] += weighted[rows]
+        den[:, blk:blk + n_frames] += squares[rows]
+    total = (n_frames - 1) * hop + width
+    return num.T.reshape(-1)[:total], den.T.reshape(-1)[:total]
 
 
 def istft(m: TFRepresentation) -> Signal:
@@ -178,25 +338,12 @@ def istft(m: TFRepresentation) -> Signal:
     cfg = m.config
     if not isinstance(cfg, StftConfig):
         raise ValueError(f"expected an STFT representation, got config {cfg!r}")
-    n_bins, n_frames = m.coeffs.shape
+    n_bins = m.coeffs.shape[0]
     nfft = cfg.fft_size
     if n_bins != nfft // 2 + 1:
         raise ValueError(f"expected {nfft // 2 + 1} frequency rows, got {n_bins}")
-    full = np.empty((n_frames, nfft), dtype=np.complex128)
-    full[:, :n_bins] = m.coeffs.T
-    full[:, n_bins:] = np.conj(m.coeffs.T[:, 1:nfft - n_bins + 1][:, ::-1])
-    frames = _fft_core(full, 1.0).real / nfft
-
-    win = make_window(cfg.window, cfg.win_size)
-    wsyn = np.zeros(nfft)
-    wsyn[:cfg.win_size] = win
-    total = (n_frames - 1) * cfg.hop + nfft
-    num = np.zeros(total)
-    den = np.zeros(total)
-    for t in range(n_frames):
-        start = t * cfg.hop
-        num[start:start + nfft] += frames[t] * wsyn
-        den[start:start + nfft] += wsyn * wsyn
+    frames = _irfft(m.coeffs.T, nfft)[:, :cfg.win_size]
+    num, den = _overlap_add(frames, make_window(cfg.window, cfg.win_size), cfg.hop)
     edge = cfg.win_size // 2
     num = num[edge:edge + m.original_len]
     den = den[edge:edge + m.original_len]

@@ -54,6 +54,11 @@ def load_wav(path) -> Signal:
             raw = fh.readframes(fh.getnframes())
     except (wave.Error, EOFError) as exc:
         raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+    if rate < 1:
+        raise DataError(f"{path}: header sample rate is {rate} Hz; need a positive rate")
+    if len(raw) % (width * channels):
+        raise DataError(f"{path}: {len(raw)} data bytes are not a whole number of "
+                        f"{channels}-channel 16-bit frames ({width * channels} bytes each)")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)

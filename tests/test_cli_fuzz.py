@@ -168,6 +168,13 @@ def _wav_bytes(channels, width, rate, frames, cut, seed):
                                 ["spectrogram", "--out", OUT], ["scaleogram", "--out", OUT],
                                 ["metrics", "--deg", WAV]]))
 @example(channels=1, width=2, rate=8000, frames=0, cut=0, seed=0, command=["metrics", "--deg", WAV])
+# odd-length data, half a stereo frame, a header rate of 0
+@example(channels=1, width=2, rate=8000, frames=100, cut=1, seed=0,
+         command=["decompose", "--method", "stft", "--out", OUT])
+@example(channels=2, width=2, rate=8000, frames=100, cut=2, seed=0,
+         command=["decompose", "--method", "dwt", "--out", OUT])
+@example(channels=1, width=2, rate=0, frames=100, cut=0, seed=0,
+         command=["decompose", "--method", "stft", "--out", OUT])
 def test_wav_files(files, tmp_path_factory, channels, width, rate, frames, cut, seed, command):
     path = tmp_path_factory.getbasetemp() / "fuzz.wav"
     path.write_bytes(_wav_bytes(channels, width, rate, frames, cut, seed))

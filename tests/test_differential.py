@@ -1,6 +1,7 @@
-"""Differential tests: the FFT, the STFT and the resampler against independent
-oracles (numpy.fft and scipy.signal, used here only, never by the package), the
-wavelet filter-bank kernels against a frozen per-tap implementation, and
+"""Differential tests: the FFT, the real-input FFT, the STFT and the resampler
+against independent oracles (numpy.fft and scipy.signal, used here only, never
+by the package); the FFT core, the overlap-add and the wavelet filter-bank
+kernels against frozen earlier implementations, bit for bit; and
 decompose -> reconstruct for the wavelet configs at the edges of their range:
 odd lengths, every depth up to max_level, all three boundary modes."""
 from math import ceil, gcd
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from scipy.signal import resample_poly
 
-from tfsep.fourier import StftConfig, WindowKind, fft, ifft, make_window, stft
+from tfsep.fourier import (_CHUNK_POINTS, StftConfig, WindowKind, _fft_core, _irfft,
+                           _overlap_add, _rfft, fft, ifft, make_window, stft)
 from tfsep.masking import DwtConfig, WptConfig, decompose, reconstruct
 from tfsep.signal import PadMode, Signal, resample
 from tfsep.wavelet import _analysis_pair, _synthesis_pair, lookup, max_level
@@ -22,6 +24,113 @@ def test_fft_and_ifft_match_numpy(log2n, rng):
     for ours, ref in ((fft(x), np.fft.fft(x)), (ifft(x), np.fft.ifft(x))):
         # measured worst case over 2^0..2^16 is about 1e-15
         assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+
+
+def _bit_identical(ours, ref):
+    return (ours.shape == ref.shape and np.array_equal(ours, ref)
+            and np.array_equal(np.signbit(ours), np.signbit(ref)))
+
+
+@pytest.mark.parametrize("log2n", range(1, 17))
+def test_rfft_and_irfft_match_numpy(log2n, rng):
+    n = 1 << log2n
+    # rows shorter than n are zero-padded, as stft's frames are
+    for width in sorted({1, 2, 3, n // 2 + 1, n - 1, n} & set(range(1, n + 1))):
+        frames = rng.normal(size=(3, width))
+        ref = np.fft.rfft(frames, n)
+        assert np.max(np.abs(_rfft(frames, n) - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, width)
+    spec = rng.normal(size=(3, n // 2 + 1)) + 1j * rng.normal(size=(3, n // 2 + 1))
+    ref = np.fft.irfft(spec, n)
+    for layout in (spec, np.asfortranarray(spec)):   # istft passes a transposed view
+        assert np.max(np.abs(_irfft(layout, n) - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+
+
+def test_rfft_end_bins_are_the_complex_transforms(rng):
+    # bins 0 and n/2 are real and equal the complex transform's bit for bit,
+    # so ideal-binary-mask ties there (silence: |T| = |I| = 0) stay ties
+    for n in (2, 8, 256, 4096):
+        frames = rng.normal(size=(5, max(1, n - 3)))
+        frames[0] = 0.0
+        padded = np.zeros((5, n), dtype=np.complex128)
+        padded[:, :frames.shape[1]] = frames
+        ref = _fft_core(padded, -1.0)[:, [0, n // 2]]
+        ours = _rfft(frames, n)[:, [0, n // 2]]
+        assert _bit_identical(ours.real, ref.real) and np.all(ours.imag == 0.0), n
+
+
+def _radix2_fft(x, sign):
+    """The package's earlier FFT: bit-reversal permutation, then one radix-2
+    decimation-in-time stage per level with a concatenate."""
+    n = x.shape[-1]
+    idx, rev = np.arange(n), np.zeros(n, dtype=np.intp)
+    for _ in range(n.bit_length() - 1):
+        rev = (rev << 1) | (idx & 1)
+        idx >>= 1
+    out = x[..., rev]
+    m = 1
+    while m < n:
+        tw = np.exp((sign * 1j * np.pi / m) * np.arange(m))
+        v = out.reshape(out.shape[:-1] + (n // (2 * m), 2, m))
+        even = v[..., 0, :]
+        odd = v[..., 1, :] * tw
+        out = np.concatenate([even + odd, even - odd], axis=-1)
+        out = out.reshape(out.shape[:-2] + (n,))
+        m *= 2
+    return out
+
+
+# STOI's scores depend on these bits: it runs the complex core on its frames.
+@pytest.mark.parametrize("log2n", range(13))
+def test_fft_core_matches_radix2_oracle_bit_for_bit(log2n, rng):
+    n = 1 << log2n
+    # one row, a batch that splits into uneven chunks, a 3-d batch, and a
+    # Fortran-ordered batch, whose result comes back Fortran-ordered
+    rows = 2 * max(1, _CHUNK_POINTS // n) + 3
+    for shape, order in (((n,), "C"), ((rows, n), "C"), ((2, 3, n), "C"), ((rows, n), "F")):
+        x = np.asarray(rng.normal(size=shape) + 1j * rng.normal(size=shape), order=order)
+        x[..., :n // 4] = 0.0                        # zero-padded rows, as in stft
+        for sign in (-1.0, 1.0):
+            ours, ref = _fft_core(x, sign), _radix2_fft(x, sign)
+            assert ours.flags[f"{order}_CONTIGUOUS"], (shape, order)
+            assert _bit_identical(ours.real, ref.real) and _bit_identical(ours.imag, ref.imag)
+
+
+def _per_frame_overlap_add(frames, wsyn, hop):
+    """istft's earlier overlap-add: one frame at a time."""
+    n_frames, nfft = frames.shape
+    total = (n_frames - 1) * hop + nfft
+    num = np.zeros(total)
+    den = np.zeros(total)
+    for t in range(n_frames):
+        start = t * hop
+        num[start:start + nfft] += frames[t] * wsyn
+        den[start:start + nfft] += wsyn * wsyn
+    return num, den
+
+
+@pytest.mark.parametrize("n_frames, win, hop, nfft", [
+    (40, 64, 1, 64),           # hop 1
+    (37, 400, 160, 512),       # hops that do not divide the FFT size
+    (25, 200, 75, 256),
+    (30, 300, 300, 512),       # hop = window < FFT size
+    (1, 256, 128, 256),        # a single frame
+    (9601, 40, 10, 64),        # 12 s at 8 kHz, 5 ms window, 1.25 ms hop
+    (481, 800, 400, 1024)])    # 12 s at 16 kHz, 50 ms window, 25 ms hop
+@pytest.mark.parametrize("window", list(WindowKind))
+def test_overlap_add_matches_per_frame_oracle_bit_for_bit(n_frames, win, hop, nfft, window, rng):
+    frames = rng.normal(size=(n_frames, nfft))
+    frames[::3, :win // 3] = 0.0
+    wsyn = np.zeros(nfft)
+    wsyn[:win] = make_window(window, win)
+    ref_num, ref_den = _per_frame_overlap_add(frames, wsyn, hop)
+    num, den = _overlap_add(frames, wsyn, hop)
+    assert _bit_identical(num, ref_num) and _bit_identical(den, ref_den)
+    # istft adds only the window's width: the rest of the sums is +0.0
+    num, den = _overlap_add(frames[:, :win], wsyn[:win], hop)
+    size = num.size
+    assert size == (n_frames - 1) * hop + win
+    assert _bit_identical(num, ref_num[:size]) and _bit_identical(den, ref_den[:size])
+    assert _bit_identical(ref_num[size:], np.zeros(nfft - win))
 
 
 @pytest.mark.parametrize("window", list(WindowKind))
@@ -149,11 +258,6 @@ def _per_tap_synthesis(lo, hi, bank, mode, out_len):
             out[:, :block.shape[1]] += block
         return out[:, :out_len]
     return full[:, k - 2: k - 2 + out_len]
-
-
-def _bit_identical(ours, ref):
-    return (ours.shape == ref.shape and np.array_equal(ours, ref)
-            and np.array_equal(np.signbit(ours), np.signbit(ref)))
 
 
 @pytest.mark.parametrize("mode", [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC])

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfsep.fourier import (StftConfig, WindowKind, export_heatmap, fft, ifft,
-                           istft, make_window, stft, stft_frequencies)
+from tfsep.fourier import (StftConfig, WindowKind, _fft_core, _rfft, export_heatmap, fft,
+                           ifft, istft, make_window, stft, stft_frequencies)
 from tfsep.signal import Signal
 
 
@@ -56,6 +56,40 @@ class TestFft:
         assert np.max(np.abs(back - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
+class TestInputsUntouched:
+    """The transforms only read their input: it stays bit-unchanged and shares
+    no memory with the output."""
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (512,), (5, 8), (3, 1 << 14)])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_complex_transforms(self, rng, shape, dtype):
+        x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype == np.complex128 else 0)
+        assert x.dtype == dtype
+        for layout in (x, np.asfortranarray(x)):
+            before = layout.tobytes()
+            for transform in (fft, ifft, lambda v: _fft_core(v, -1.0), lambda v: _fft_core(v, 1.0)):
+                out = transform(layout)
+                assert layout.tobytes() == before
+                assert not np.shares_memory(out, layout)
+
+    @pytest.mark.parametrize("n, width", [(2, 2), (16, 9), (512, 400), (1 << 14, 1 << 14)])
+    def test_rfft(self, rng, n, width):
+        for frames in (rng.normal(size=(4, width)), np.asfortranarray(rng.normal(size=(4, width)))):
+            before = frames.tobytes()
+            out = _rfft(frames, n)
+            assert frames.tobytes() == before
+            assert not np.shares_memory(out, frames)
+
+    def test_stft(self, rng):
+        s = Signal(rng.normal(size=4001), 8000)
+        before = s.samples.tobytes()
+        for cfg in (StftConfig(WindowKind.HANN, 256, 64, 256),
+                    StftConfig(WindowKind.RECTANGULAR, 100, 100, 128)):
+            tf = stft(s, cfg)
+            assert s.samples.tobytes() == before
+            assert not np.shares_memory(tf.coeffs, s.samples)
+
+
 class TestWindows:
     def test_hann_small(self):
         assert np.allclose(make_window(WindowKind.HANN, 4), [0, 0.5, 1, 0.5])
@@ -80,6 +114,8 @@ class TestStftConfig:
             StftConfig(WindowKind.HANN, 512, 600, 512)
         with pytest.raises(ValueError):
             StftConfig(WindowKind.HANN, 512, 256, 500)
+        with pytest.raises(ValueError, match="win_size >= 2"):
+            StftConfig(WindowKind.RECTANGULAR, 1, 1, 1)
 
     def test_from_milliseconds(self):
         cfg = StftConfig.from_milliseconds(WindowKind.HANN, 32.0, 16.0, 16000)

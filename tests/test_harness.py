@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -69,6 +70,22 @@ class TestWavIo:
         back = load_wav(tmp_path / "st.wav")
         assert len(back) == 100
         assert np.allclose(back.samples, 0.0)
+
+    @pytest.mark.parametrize("channels, rate, cut, fault", [
+        (1, 8000, 1, "not a whole number of 1-channel 16-bit frames"),   # odd byte count
+        (2, 8000, 2, "not a whole number of 2-channel 16-bit frames"),   # half a frame
+        (3, 8000, 4, "not a whole number of 3-channel 16-bit frames"),
+        (1, 0, 0, "header sample rate is 0 Hz")])
+    def test_malformed_data_names_file_and_fault(self, tmp_path, channels, rate, cut, fault):
+        size = 100 * channels * 2
+        fmt = struct.pack("<HHIIHH", 1, channels, rate, rate * channels * 2, channels * 2, 16)
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", size) + bytes(size - cut))
+        path = tmp_path / "bad.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(DataError) as err:
+            load_wav(path)
+        assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
 
 
 class TestCorpusAndMixtures:
