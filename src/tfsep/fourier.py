@@ -76,9 +76,7 @@ def _butterfly(top, bottom, tw, plus, minus):
 
 def _fft_core(x: np.ndarray, sign: float) -> np.ndarray:
     """Unnormalized DFT sum_n x[n] exp(sign*2*pi*i*k*n/N) along the last axis,
-    N a power of two, as a new complex128 array; x is only read. The result
-    is C-contiguous, except for a Fortran-ordered matrix x (the transpose of
-    a C one), whose result is Fortran-ordered too.
+    N a power of two, as a new C-contiguous complex128 array; x is only read.
 
     A Stockham autosort in radix-4 steps, after one radix-2 step when log2 N
     is odd. Each radix-4 step is its two radix-2 levels with their own
@@ -90,10 +88,7 @@ def _fft_core(x: np.ndarray, sign: float) -> np.ndarray:
     """
     n = x.shape[-1]
     rows = x.reshape(-1, n)
-    if x.ndim == 2 and x.flags.f_contiguous and not x.flags.c_contiguous:
-        out = np.empty(x.shape[::-1], dtype=np.complex128).T
-    else:
-        out = np.empty(rows.shape, dtype=np.complex128)
+    out = np.empty(rows.shape, dtype=np.complex128)
     width = max(1, _CHUNK_POINTS // n)
     cols = max(1, min(width, rows.shape[0]))
     twiddles = _tables(_twiddles, n)
@@ -145,11 +140,11 @@ def ifft(x) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _half_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns (1 - i w^k)/2 and (1 + i w^k)/2 for k = 0..n/2, w = exp(-2*pi*i/n).
+    """Rows (1 - i w^k)/2 and (1 + i w^k)/2 for k = 0..n/2, w = exp(-2*pi*i/n).
 
     w^(n/2) is set to exactly -1, so that bins 0 and n/2 of a real row come
     out real and equal to the sums a complex transform gives them."""
-    w = np.exp((-2j * np.pi / n) * np.arange(n // 2 + 1))[:, None]
+    w = np.exp((-2j * np.pi / n) * np.arange(n // 2 + 1))
     w[-1] = -1.0
     a, b = 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
     a.setflags(write=False)
@@ -159,57 +154,52 @@ def _half_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _rfft(frames: np.ndarray, n: int) -> np.ndarray:
     """DFT bins 0..n/2 of each real row of the matrix `frames`, zero-padded
-    to n points (n a power of two, at least 2 and at least the row width).
-    The result is the transpose of a C-contiguous (bins x rows) array.
+    to n points (n a power of two, at least 2 and at least the row width),
+    one row of bins per frame.
 
     The n/2-point transform Z of z[j] = x[2j] + i x[2j+1] gives
     X[k] = A[k] Z[k] + B[k] conj(Z[n/2 - k]), indices mod n/2, with the
-    half-twiddles A, B of `_half_twiddles`. All of it works bins-major, with
-    the rows on the contiguous axis, so a Fortran-ordered `frames` is read
-    in memory order.
+    half-twiddles A, B of `_half_twiddles`. The packed rows z are the
+    float64 view of a complex row, so the frames are copied in as they are.
     """
     rows, width = frames.shape
     m = n // 2
-    packed = np.zeros((m, rows), dtype=np.complex128)
-    pairs = packed.view(np.float64).reshape(m, rows, 2)
-    pairs[:(width + 1) // 2, :, 0] = frames.T[0::2]
-    pairs[:width // 2, :, 1] = frames.T[1::2]
-    z = _fft_core(packed.T, -1.0).T
-    del packed, pairs                            # at most frames, z and spec at once
+    packed = np.zeros((rows, m), dtype=np.complex128)
+    packed.view(np.float64)[:, :width] = frames
+    z = _fft_core(packed, -1.0)
+    del packed                                   # at most frames, z and spec at once
     a, b = _tables(_half_twiddles, n)(n)
-    spec = np.empty((m + 1, rows), dtype=np.complex128)
-    np.conjugate(z[:1], out=spec[:1])
-    np.conjugate(z[::-1], out=spec[1:])          # conj Z[n/2 - k] for k = 1..n/2
+    spec = np.empty((rows, m + 1), dtype=np.complex128)
+    np.conjugate(z[:, :1], out=spec[:, :1])
+    np.conjugate(z[:, ::-1], out=spec[:, 1:])    # conj Z[n/2 - k] for k = 1..n/2
     spec *= b
-    spec[m] += z[0] * a[m]
+    spec[:, m] += z[:, 0] * a[m]
     z *= a[:m]
-    spec[:m] += z
-    return spec.T
+    spec[:, :m] += z
+    return spec
 
 
 def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
     """Real rows of n samples whose DFT bins 0..n/2 are the rows of the
     matrix `spec`; the imaginary parts of bins 0 and n/2 are ignored, as in a
-    real inverse. The result is the transpose of a C-contiguous array.
+    real inverse.
 
     Inverts `_rfft`'s packing: Z[k] = conj(A[k]) X[k] + conj(B[k]) conj(X[n/2 - k])
-    for k < n/2, then one inverse n/2-point transform gives x[2j] + i x[2j+1].
+    for k < n/2, then one inverse n/2-point transform gives x[2j] + i x[2j+1],
+    whose float64 view is the row of samples.
     """
     m = n // 2
     a, b = _tables(_half_twiddles, n)(n)
-    x = spec.T                                   # bins-major
-    z = np.empty((m, x.shape[1]), dtype=np.complex128)
-    np.multiply(x[1:m], np.conjugate(a[1:m]), out=z[1:])
-    mirror = np.conjugate(x[m - 1:0:-1])
+    z = np.empty((spec.shape[0], m), dtype=np.complex128)
+    np.multiply(spec[:, 1:m], np.conjugate(a[1:m]), out=z[:, 1:])
+    mirror = np.conjugate(spec[:, m - 1:0:-1])
     mirror *= np.conjugate(b[1:m])
-    z[1:] += mirror
-    dc, nyquist = x[0].real, x[m].real
-    z[0] = 0.5 * (dc + nyquist) + 0.5j * (dc - nyquist)
-    z = _fft_core(z.T, 1.0).T
-    samples = np.empty((m, 2, x.shape[1]))      # sample 2j + r of every row at [j, r]
-    np.divide(z.real, m, out=samples[:, 0])
-    np.divide(z.imag, m, out=samples[:, 1])
-    return samples.reshape(n, -1).T
+    z[:, 1:] += mirror
+    dc, nyquist = spec[:, 0].real, spec[:, m].real
+    z[:, 0] = 0.5 * (dc + nyquist) + 0.5j * (dc - nyquist)
+    samples = _fft_core(z, 1.0).view(np.float64)
+    samples /= m
+    return samples
 
 
 def make_window(kind: WindowKind, n: int) -> np.ndarray:
@@ -270,11 +260,11 @@ def _frame(x: np.ndarray, win_size: int, hop: int) -> np.ndarray:
 
 
 # frames x fft_size of one STFT, 8.5x the largest default-grid STFT of a 12 s,
-# 44.1 kHz recording (100 ms, 25 ms hop). stft's tracemalloc peak, measured
-# from cold caches at 2^21 and 2^22 points: 24.6 bytes per point up to 2^14-point
-# FFTs (the windowed frames, the packed transform and the spectrum), so 790 MiB
-# at this limit; longer FFTs add twiddle tables built in the call, up to 40
-# bytes per point for 2 frames of 2^20 points, so up to 1.25 GiB at this limit.
+# 44.1 kHz recording (100 ms, 25 ms hop). The tracemalloc peaks of stft and of
+# istft, measured from cold caches at 2^21 and 2^22 points: 24.6 bytes per point
+# up to 2^14-point FFTs (three frame-sized arrays at once), so 790 MiB at this
+# limit; longer FFTs add twiddle tables built in the call, up to 40 (stft) and
+# 48 (istft) bytes per point for 2 frames of 2^20 points, so up to 1.5 GiB.
 STFT_MAX_POINTS = 1 << 25
 
 
@@ -296,11 +286,9 @@ def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
         raise ValueError(f"STFT too large: {n_frames} frames x {cfg.fft_size} FFT points "
                          f"exceeds {STFT_MAX_POINTS} points")
     tail = (n_frames - 1) * cfg.hop + cfg.win_size - edge - len(s)
-    # Fortran order: _rfft reads each frame position across all frames
     frames = np.multiply(_frame(np.pad(s.samples, (edge, tail)), cfg.win_size, cfg.hop),
-                         make_window(cfg.window, cfg.win_size), order="F")
-    spec = _rfft(frames, cfg.fft_size)
-    return TFRepresentation(spec.T, cfg, s.rate, len(s))
+                         make_window(cfg.window, cfg.win_size))
+    return TFRepresentation(_rfft(frames, cfg.fft_size).T, cfg, s.rate, len(s))
 
 
 def _overlap_add(frames: np.ndarray, window: np.ndarray, hop: int):
@@ -308,24 +296,24 @@ def _overlap_add(frames: np.ndarray, window: np.ndarray, hop: int):
     same sum of window[j]**2, over (frames - 1)*hop + width samples.
 
     The weighted frames are cut into hop-wide blocks; block b of frame t
-    lands in column t + b of a hop x (frames + blocks) accumulator. Adding the
+    lands in row t + b of a (frames + blocks) x hop accumulator. Adding the
     last block first gives every sample its frames in ascending t, so the
     sums are bit-identical to adding one frame at a time.
     """
     n_frames, width = frames.shape
     blocks = -(-width // hop)
-    weighted = np.zeros((blocks * hop, n_frames))      # frames on the contiguous axis
-    np.multiply(frames.T, window[:, None], out=weighted[:width])
-    squares = np.zeros((blocks * hop, 1))
-    squares[:width, 0] = window * window
-    num = np.zeros((hop, n_frames + blocks))
-    den = np.zeros((hop, n_frames + blocks))
+    weighted = np.zeros((n_frames, blocks * hop))
+    np.multiply(frames, window, out=weighted[:, :width])
+    squares = np.zeros(blocks * hop)
+    squares[:width] = window * window
+    num = np.zeros((n_frames + blocks, hop))
+    den = np.zeros((n_frames + blocks, hop))
     for blk in range(blocks - 1, -1, -1):
-        rows = slice(blk * hop, (blk + 1) * hop)
-        num[:, blk:blk + n_frames] += weighted[rows]
-        den[:, blk:blk + n_frames] += squares[rows]
+        cols = slice(blk * hop, (blk + 1) * hop)
+        num[blk:blk + n_frames] += weighted[:, cols]
+        den[blk:blk + n_frames] += squares[cols]
     total = (n_frames - 1) * hop + width
-    return num.T.reshape(-1)[:total], den.T.reshape(-1)[:total]
+    return num.reshape(-1)[:total], den.reshape(-1)[:total]
 
 
 def istft(m: TFRepresentation) -> Signal:

@@ -7,7 +7,6 @@ excluded.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -119,14 +118,12 @@ class SpeakerCorpus:
 
 @dataclass(frozen=True)
 class Mixture:
-    """An instantaneous sum of equal-length sources; sources[target_index] is
-    the separation target."""
+    """An instantaneous sum of two or more equal-length sources; sources[0]
+    is the separation target."""
 
     mixture: Signal
     sources: tuple[Signal, ...]
-    target_index: int
     speaker_ids: tuple[str, ...]
-    seed: int
 
 
 def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int,
@@ -157,7 +154,7 @@ def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int,
     padded = tuple(Signal(np.pad(sig.samples, (0, length - len(sig))), rate)
                    for sig in signals)
     total = np.sum([sig.samples for sig in padded], axis=0)
-    return Mixture(Signal(total, rate), padded, 0, tuple(ids), seed)
+    return Mixture(Signal(total, rate), padded, tuple(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +170,14 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
     t0 = perf_counter()
     mixture_tf = decompose(mix.mixture, cfg)
     elapsed = perf_counter() - t0
-    source_tfs = [decompose(src, cfg) for src in mix.sources]
-    target_tf = source_tfs[mix.target_index]
-    silence = dataclasses.replace(target_tf, coeffs=np.zeros_like(target_tf.coeffs))
-    others = (tf for i, tf in enumerate(source_tfs) if i != mix.target_index)
-    interference = reduce(add, others, silence)
+    target_tf, *other_tfs = [decompose(src, cfg) for src in mix.sources]
+    interference = reduce(add, other_tfs)
     masked = apply_mask(mixture_tf, ideal_binary_mask(target_tf, interference))
     t0 = perf_counter()
     estimate = reconstruct(masked)
     elapsed += perf_counter() - t0
 
-    clean = mix.sources[mix.target_index].samples
+    clean = mix.sources[0].samples
     def guarded(fn, *args):
         try:
             return fn(*args)
@@ -201,13 +195,9 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
 # ---------------------------------------------------------------------------
 # grids
 
-_STFT_LABEL = "stft"
-_DWT_LABEL = "wavelet"
-_WPT_LABEL = "wavelet_packet"
-
-_DEFAULT_WINDOWS = ("hann", "rectangular")
-_DEFAULT_SIZES_MS = (5.0, 10.0, 16.0, 25.0, 32.0, 50.0, 100.0, 120.0)
-_DEFAULT_HOPS = (0.25, 0.5, 0.75)
+_DEFAULT_STFT = {"windows": ("hann", "rectangular"),
+                 "sizes_ms": (5.0, 10.0, 16.0, 25.0, 32.0, 50.0, 100.0, 120.0),
+                 "hop_fractions": (0.25, 0.5, 0.75)}
 _LEVEL_CAP = 12
 _DEFAULT_FAMILIES = tuple(f for f in available_families() if f != "db1")  # db1 == haar
 
@@ -216,43 +206,54 @@ _DEFAULT_FAMILIES = tuple(f for f in available_families() if f != "db1")  # db1 
 class GridEntry:
     decomposition: str          # stft | wavelet | wavelet_packet
     params: str                 # human-readable, also the report cell
-    spec: dict = field(compare=False)
+    # a wavelet's DwtConfig / WptConfig, or the STFT's (window, win_ms, hop_ms),
+    # which become an StftConfig at each mixture's rate
+    config: DwtConfig | WptConfig | tuple[WindowKind, float, float] = field(compare=False)
 
 
 def stft_entry(window: str, size_ms: float, hop_fraction: float) -> GridEntry:
-    params = f"{size_ms:g}ms {window} window {size_ms * hop_fraction:g}ms hop"
-    return GridEntry(_STFT_LABEL, params,
-                     {"window": window, "size_ms": size_ms, "hop_fraction": hop_fraction})
+    hop_ms = size_ms * hop_fraction
+    return GridEntry("stft", f"{size_ms:g}ms {window} window {hop_ms:g}ms hop",
+                     (WindowKind(window), size_ms, hop_ms))
 
 
 def wavelet_entry(kind: str, family: str, levels: int,
                   mode: str = "periodization") -> GridEntry:
-    label = _DWT_LABEL if kind == "dwt" else _WPT_LABEL
+    cls, label = (DwtConfig, "wavelet") if kind == "dwt" else (WptConfig, "wavelet_packet")
     return GridEntry(label, f"{family} {levels} levels {mode}",
-                     {"family": family, "levels": levels, "mode": mode})
+                     cls(family, levels, wavelet_mode(mode)))
 
 
 def build_config(entry: GridEntry, rate: int) -> DecompositionConfig:
-    spec = entry.spec
-    if entry.decomposition == _STFT_LABEL:
-        size_ms = spec["size_ms"]
-        return StftConfig.from_milliseconds(WindowKind(spec["window"]), size_ms,
-                                            size_ms * spec["hop_fraction"], rate)
-    cls = DwtConfig if entry.decomposition == _DWT_LABEL else WptConfig
-    return cls(spec["family"], spec["levels"], wavelet_mode(spec["mode"]))
+    if isinstance(entry.config, tuple):
+        return StftConfig.from_milliseconds(*entry.config, rate)
+    return entry.config
+
+
+def _grid_entries(sections: dict) -> list[GridEntry]:
+    """The entries of a grid given in the grid file's form (see
+    load_grid_file): the STFT rows, then the DWT rows, then the WPT rows."""
+    entries = []
+    if "stft" in sections:
+        sect = sections["stft"]
+        entries.extend(stft_entry(w, s, h) for w in sect["windows"]
+                       for s in sect["sizes_ms"] for h in sect["hop_fractions"])
+    for key, kind in (("wavelet", "dwt"), ("wpt", "wpt")):
+        if key in sections:
+            sect = sections[key]
+            mode = sect.get("mode", "periodization")
+            entries.extend(wavelet_entry(kind, fam, lv, mode)
+                           for fam in sect["families"] for lv in sect["levels"])
+    return entries
 
 
 def default_grid(max_levels: int, full_depth: bool = False) -> list[GridEntry]:
     """The paper-style search grid: every window/size/hop STFT combination and
     every registered wavelet family at every depth up to min(12, max_levels)
     (the cap is lifted by full_depth)."""
-    entries = [stft_entry(w, s, h) for w in _DEFAULT_WINDOWS
-               for s in _DEFAULT_SIZES_MS for h in _DEFAULT_HOPS]
     depth = max_levels if full_depth else min(_LEVEL_CAP, max_levels)
-    for kind in ("dwt", "wpt"):
-        entries.extend(wavelet_entry(kind, fam, lv)
-                       for fam in _DEFAULT_FAMILIES for lv in range(1, depth + 1))
-    return entries
+    wavelets = {"families": _DEFAULT_FAMILIES, "levels": range(1, depth + 1)}
+    return _grid_entries({"stft": _DEFAULT_STFT, "wavelet": wavelets, "wpt": wavelets})
 
 
 def _positive_number(value):
@@ -305,17 +306,7 @@ def load_grid_file(path) -> list[GridEntry]:
                         f"{', '.join(_GRID_KEYS)}")
     for section, sect in spec.items():
         _check_grid_section(sect, section, path)
-    entries = []
-    if "stft" in spec:
-        sect = spec["stft"]
-        entries.extend(stft_entry(w, s, h) for w in sect["windows"]
-                       for s in sect["sizes_ms"] for h in sect["hop_fractions"])
-    for key, kind in (("wavelet", "dwt"), ("wpt", "wpt")):
-        if key in spec:
-            sect = spec[key]
-            mode = sect.get("mode", "periodization")
-            entries.extend(wavelet_entry(kind, fam, lv, mode)
-                           for fam in sect["families"] for lv in sect["levels"])
+    entries = _grid_entries(spec)
     if not entries:
         raise DataError(f"grid file {path} defines no configurations")
     return entries

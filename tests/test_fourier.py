@@ -1,14 +1,15 @@
 import csv
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfsep.fourier import (StftConfig, WindowKind, _fft_core, _rfft, export_heatmap, fft,
-                           ifft, istft, make_window, stft, stft_frequencies)
+from tfsep.fourier import (StftConfig, WindowKind, _fft_core, _irfft, _rfft, export_heatmap,
+                           fft, ifft, istft, make_window, stft, stft_frequencies)
 from tfsep.signal import Signal
 
 
@@ -79,6 +80,11 @@ class TestInputsUntouched:
             out = _rfft(frames, n)
             assert frames.tobytes() == before
             assert not np.shares_memory(out, frames)
+            for spec in (out, np.asfortranarray(out)):   # _irfft divides its result in place
+                spectrum = spec.tobytes()
+                back = _irfft(spec, n)
+                assert spec.tobytes() == spectrum
+                assert not np.shares_memory(back, spec)
 
     def test_stft(self, rng):
         s = Signal(rng.normal(size=4001), 8000)
@@ -88,6 +94,11 @@ class TestInputsUntouched:
             tf = stft(s, cfg)
             assert s.samples.tobytes() == before
             assert not np.shares_memory(tf.coeffs, s.samples)
+            for coeffs in (tf.coeffs, np.ascontiguousarray(tf.coeffs)):   # istft too
+                spectrum = coeffs.tobytes()
+                back = istft(replace(tf, coeffs=coeffs))
+                assert coeffs.tobytes() == spectrum
+                assert not np.shares_memory(back.samples, coeffs)
 
 
 class TestWindows:

@@ -116,7 +116,7 @@ class TestCorpusAndMixtures:
         total = np.sum([src.samples for src in mix.sources], axis=0)
         assert np.max(np.abs(mix.mixture.samples - total)) < 1e-12
         assert len({len(src) for src in mix.sources}) == 1
-        assert mix.target_index == 0
+        assert len(mix.sources) == 3
         assert len(set(mix.speaker_ids)) == 3
 
     def test_triangle_inequality(self, small_corpus):
@@ -147,7 +147,8 @@ class TestCorpusAndMixtures:
 
 def _degenerate_mixture(rng) -> Mixture:
     src = speech_like(2.0, 16000, np.random.default_rng(21))
-    return Mixture(src, (src,), 0, ("solo",), 0)
+    silence = Signal(np.zeros(len(src)), src.rate)
+    return Mixture(src, (src, silence), ("solo", "silence"))
 
 
 class TestIbmTrial:
@@ -188,10 +189,10 @@ class TestGrids:
 
     def test_level_cap(self):
         grid = default_grid(max_levels=30)
-        levels = {e.spec["levels"] for e in grid if e.decomposition == "wavelet"}
+        levels = {e.config.levels for e in grid if e.decomposition == "wavelet"}
         assert max(levels) == 12
         full = default_grid(max_levels=14, full_depth=True)
-        levels = {e.spec["levels"] for e in full if e.decomposition == "wavelet"}
+        levels = {e.config.levels for e in full if e.decomposition == "wavelet"}
         assert max(levels) == 14
 
     def test_grid_file(self, tmp_path):
