@@ -12,8 +12,8 @@ import math
 import os
 import wave
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 from pathlib import Path
 from time import perf_counter
 
@@ -22,7 +22,8 @@ import numpy as np
 from .fourier import StftConfig, WindowKind
 from .masking import (DecompositionConfig, DwtConfig, WptConfig, add, apply_mask,
                       decompose, ideal_binary_mask, reconstruct)
-from .metrics import MetricError, MetricScores, mse, si_sdr, snr, stoi
+from .metrics import (MetricError, MetricScores, StoiReference, mse, si_sdr, snr, stoi,
+                      stoi_reference)
 from .signal import Signal, resample
 from .wavelet import available_families, lookup, wavelet_mode
 
@@ -119,17 +120,18 @@ class SpeakerCorpus:
 @dataclass(frozen=True)
 class Mixture:
     """An instantaneous sum of two or more equal-length sources; sources[0]
-    is the separation target."""
+    is the separation target. `reference` is the target's STOI reference, or
+    the error building it raised; without one every trial builds its own."""
 
     mixture: Signal
     sources: tuple[Signal, ...]
     speaker_ids: tuple[str, ...]
+    reference: StoiReference | ValueError | None = field(default=None, compare=False)
 
 
-def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int,
-                 allow_resample: bool = False) -> Mixture:
-    """Draw n distinct speakers and one recording each (seeded), zero-pad to a
-    common length, and sum. The first drawn speaker is the target."""
+def _draw(corpus: SpeakerCorpus, n_speakers: int, seed: int, allow_resample: bool = False):
+    """The seeded recordings of one mixture, all at the first one's rate, and
+    their speaker ids."""
     if n_speakers < 2:
         raise ValueError("a mixture needs at least 2 speakers")
     corpus.check_speakers(n_speakers)
@@ -150,6 +152,15 @@ def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int,
                 raise DataError(
                     f"sampling rate mismatch: {sig.rate} vs {rate} (pass allow_resample=True)")
             signals[i] = resample(sig, rate)
+    return signals, ids
+
+
+def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int,
+                 allow_resample: bool = False) -> Mixture:
+    """Draw n distinct speakers and one recording each (seeded), zero-pad to a
+    common length, and sum. The first drawn speaker is the target."""
+    signals, ids = _draw(corpus, n_speakers, seed, allow_resample)
+    rate = signals[0].rate
     length = max(len(sig) for sig in signals)
     padded = tuple(Signal(np.pad(sig.samples, (0, length - len(sig))), rate)
                    for sig in signals)
@@ -162,7 +173,8 @@ def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int,
 
 def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
     """Decompose the mixture and sources, mask the mixture with the target's
-    ideal binary mask, reconstruct, and score against the clean target.
+    ideal binary mask, reconstruct, and score against the clean target, with
+    the mixture's STOI reference when it carries one.
 
     Interference is the coefficient-wise sum of the other sources'
     decompositions (the magnitude of the sum, not the sum of magnitudes).
@@ -171,11 +183,14 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
     mixture_tf = decompose(mix.mixture, cfg)
     elapsed = perf_counter() - t0
     target_tf, *other_tfs = [decompose(src, cfg) for src in mix.sources]
-    interference = reduce(add, other_tfs)
-    masked = apply_mask(mixture_tf, ideal_binary_mask(target_tf, interference))
+    masked = apply_mask(mixture_tf, ideal_binary_mask(target_tf, reduce(add, other_tfs)))
+    # release each coefficient array after its last read, so that reconstruct and the
+    # scores do not run on top of all of them
+    del mixture_tf, target_tf, other_tfs
     t0 = perf_counter()
     estimate = reconstruct(masked)
     elapsed += perf_counter() - t0
+    del masked
 
     clean = mix.sources[0].samples
     def guarded(fn, *args):
@@ -184,7 +199,8 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
         except (MetricError, ValueError):
             return None
     return MetricScores(
-        stoi=guarded(stoi, clean, estimate.samples, mix.mixture.rate),
+        stoi=(None if isinstance(mix.reference, ValueError)     # an unscorable target
+              else guarded(stoi, clean, estimate.samples, mix.mixture.rate, mix.reference)),
         si_sdr=guarded(si_sdr, clean, estimate.samples),
         snr=guarded(snr, clean, estimate.samples),
         mse=guarded(mse, clean, estimate.samples),
@@ -352,9 +368,12 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
     """Evaluate every grid entry on one fixed, seeded set of mixtures.
 
     Configurations that cannot handle a mixture (e.g. more levels than the
-    signal length allows) produce a failed row; the run continues. Trials
-    run on min(jobs, os.cpu_count()) threads, in-process when that is 1.
-    Results are deterministic for a given corpus/seed/grid regardless of jobs.
+    signal length allows) produce a failed row; the run continues. Every
+    mixture's recordings are drawn and their rates checked before the first
+    trial; then the mixtures are built one at a time, each with its target's
+    STOI reference, and released after their trials. Trials run on
+    min(jobs, os.cpu_count()) threads, in-process when that is 1. Results
+    are deterministic for a given corpus/seed/grid regardless of jobs.
     """
     if not grid:
         raise ValueError("grid is empty")
@@ -363,26 +382,34 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
     if sort_by not in SORT_COLUMNS:
         raise ValueError(f"cannot sort by {sort_by!r}")
     mixture_seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(n_mixtures)]
-    mixtures = [make_mixture(corpus, n_speakers, s) for s in mixture_seeds]
+    for s in mixture_seeds:
+        _draw(corpus, n_speakers, s)
 
-    def evaluate(entry_mix):
-        entry, mix = entry_mix
+    def evaluate(mix, entry):
         try:
             return run_ibm_trial(mix, build_config(entry, mix.mixture.rate))
         except ValueError as exc:
-            return exc
+            return exc.with_traceback(None)    # its frames would hold the mixture
 
-    tasks = [(entry, mix) for entry in grid for mix in mixtures]
+    def trials(mapper, mixture_seed):
+        """The outcomes of every grid entry on the mixture of mixture_seed."""
+        mix = make_mixture(corpus, n_speakers, mixture_seed)
+        try:
+            reference = stoi_reference(mix.sources[0].samples, mix.mixture.rate)
+        except ValueError as exc:             # MetricError too
+            reference = exc
+        return list(mapper(partial(evaluate, replace(mix, reference=reference)), grid))
+
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(evaluate, tasks))
+            outcomes = [trials(pool.map, s) for s in mixture_seeds]
     else:
-        outcomes = [evaluate(t) for t in tasks]
+        outcomes = [trials(map, s) for s in mixture_seeds]
 
     rows = []
     for ci, entry in enumerate(grid):
-        results = outcomes[ci * n_mixtures:(ci + 1) * n_mixtures]
+        results = [per_mixture[ci] for per_mixture in outcomes]
         errors = [r for r in results if isinstance(r, Exception)]
         if errors:
             # keep the CSV comma-free

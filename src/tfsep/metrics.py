@@ -85,6 +85,7 @@ _STOI_BANDS = 15
 _STOI_LOWEST_CENTER = 150.0
 _STOI_FRAMES = 30                 # 384 ms at 10 kHz
 _STOI_CLIP_DB = -15.0
+_STOI_CLIP_GAIN = 1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)
 _STOI_SILENCE_DB = 40.0
 
 
@@ -108,14 +109,20 @@ def _stoi_segments(sig: Signal, keep=None):
         raise MetricError("signals too short for STOI (need at least 384 ms)")
     if keep is None and not np.any(x):
         raise MetricError("clean signal is silent")
-    frames = _frame(x, _STOI_WIN, _STOI_HOP) * make_window(WindowKind.HANN, _STOI_WIN)
+    frames = _frame(x, _STOI_WIN, _STOI_HOP)
+    window = make_window(WindowKind.HANN, _STOI_WIN)
     if keep is None:
+        frames = frames * window
         energy = np.sum(frames ** 2, axis=1)
         keep = energy > energy.max() * 10.0 ** (-_STOI_SILENCE_DB / 10.0)
         if np.count_nonzero(keep) < _STOI_FRAMES:
             raise MetricError(
                 f"fewer than {_STOI_FRAMES} frames remain after silent-frame removal")
-    spec = np.abs(_fft_core(frames[keep].astype(np.complex128), -1.0)[:, :_STOI_WIN // 2 + 1])
+        frames = frames[keep]
+    else:
+        frames = frames[keep]
+        frames *= window
+    spec = np.abs(_fft_core(frames, -1.0)[:, :_STOI_WIN // 2 + 1])
     envelopes = np.sqrt(_stoi_band_matrix() @ (spec.T ** 2))   # (bands x frames)
     # a contiguous copy, so each 30-frame reduction adds in the same order as
     # over a slice of the envelopes
@@ -123,24 +130,59 @@ def _stoi_segments(sig: Signal, keep=None):
     return windows.copy(), keep
 
 
-def stoi(s, s_hat, rate: int) -> float:
+@dataclass(frozen=True, eq=False)
+class StoiReference:
+    """The clean side of STOI, which depends on the clean signal alone: its
+    rate and length, the frames within 40 dB of its loudest, and per
+    (segment, band) envelope its norm, its -15 dB clip bound, and its
+    mean-centred form with that form's norm. Every stoi call against the
+    same clean signal can share one; stoi only reads it."""
+
+    rate: int
+    size: int
+    keep: np.ndarray
+    norms: np.ndarray             # segments x bands x 1
+    bound: np.ndarray             # segments x bands x 30
+    centred: np.ndarray           # segments x bands x 30
+    centred_norms: np.ndarray     # segments x bands
+
+
+def stoi_reference(s, rate: int) -> StoiReference:
+    """The STOI reference of clean signal s at `rate`. Raises what stoi
+    raises for this clean signal: ValueError for samples or a rate no Signal
+    holds, MetricError for a signal too short or silent to score against."""
+    clean = Signal(s, rate)
+    x, keep = _stoi_segments(clean)
+    centred = x - x.mean(axis=-1, keepdims=True)
+    return StoiReference(clean.rate, len(clean), keep,
+                         np.linalg.norm(x, axis=-1, keepdims=True), _STOI_CLIP_GAIN * x,
+                         centred, np.linalg.norm(centred, axis=-1))
+
+
+def stoi(s, s_hat, rate: int, reference: StoiReference | None = None) -> float:
     """Short-time objective intelligibility of s_hat against clean s, in [0, 1].
 
     Frames more than 40 dB below the clean signal's loudest frame are dropped
     from both signals before envelope formation; degraded envelopes are
     normalized to the clean envelope energy and clipped at -15 dB relative.
     Zero-variance envelope pairs contribute a correlation of 0.
+
+    `reference`, if given, is stoi_reference(s, rate), built once for many
+    estimates of the same clean signal; the score is the same bit for bit.
     """
     s, s_hat = _as_pair(s, s_hat)
     clean, degraded = Signal(s, rate), Signal(s_hat, rate)  # both checked before scoring
-    x, keep = _stoi_segments(clean)
-    y, _ = _stoi_segments(degraded, keep)
-    norm_x = np.linalg.norm(x, axis=-1, keepdims=True)
+    if reference is None:
+        reference = stoi_reference(s, rate)
+    elif (reference.rate, reference.size) != (clean.rate, len(clean)):
+        raise ValueError(f"STOI reference is for {reference.size} samples at {reference.rate} Hz,"
+                         f" not {len(clean)} at {clean.rate} Hz")
+    y, _ = _stoi_segments(degraded, reference.keep)
+    # in place, so that no more than four segment arrays are alive at once
     norm_y = np.linalg.norm(y, axis=-1, keepdims=True)
-    scale = norm_x / np.where(norm_y == 0.0, 1.0, norm_y)
-    y = np.minimum(y * scale, (1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)) * x)
-    xc = x - x.mean(axis=-1, keepdims=True)
-    yc = y - y.mean(axis=-1, keepdims=True)
-    denom = np.linalg.norm(xc, axis=-1) * np.linalg.norm(yc, axis=-1)
-    num = np.sum(xc * yc, axis=-1)
+    y *= reference.norms / np.where(norm_y == 0.0, 1.0, norm_y)
+    np.minimum(y, reference.bound, out=y)
+    y -= y.mean(axis=-1, keepdims=True)
+    denom = reference.centred_norms * np.linalg.norm(y, axis=-1)
+    num = np.sum(reference.centred * y, axis=-1)
     return float(np.mean(np.where(denom == 0.0, 0.0, num / np.where(denom == 0.0, 1.0, denom))))

@@ -12,7 +12,7 @@ from tfsep.harness import (DataError, Mixture, SpeakerCorpus, _mean, build_confi
                            default_grid, emit_report, grid_search, load_grid_file,
                            load_wav, make_mixture, run_ibm_trial, save_wav,
                            stft_entry, wavelet_entry)
-from tfsep.masking import DwtConfig, StftConfig, WptConfig
+from tfsep.masking import DwtConfig, StftConfig, WptConfig, decompose
 from tfsep.fourier import WindowKind
 from tfsep.metrics import MetricScores
 from tfsep.signal import Signal
@@ -161,6 +161,25 @@ class TestIbmTrial:
             assert scores.si_sdr == math.inf or scores.si_sdr > 100.0
             assert scores.mse < 1e-12
             assert scores.decomposition_time > 0.0
+
+    def test_coefficients_released_before_reconstruction(self):
+        # 3 sources of a dense 5 ms / 1.25 ms hop STFT: holding every
+        # coefficient array through reconstruct and stoi peaked at 10.1x one
+        # array's size; released, the peak is the last forward transform's
+        import tracemalloc
+        gen = np.random.default_rng(0)
+        sources = tuple(Signal(gen.normal(size=16000), 8000) for _ in range(3))
+        mix = Mixture(Signal(sum(s.samples for s in sources), 8000), sources, ("a", "b", "c"))
+        cfg = StftConfig.from_milliseconds(WindowKind.HANN, 5.0, 1.25, 8000)
+        size = decompose(mix.mixture, cfg).coeffs.nbytes
+        run_ibm_trial(mix, cfg)
+        tracemalloc.start()
+        try:
+            run_ibm_trial(mix, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * size, peak / size
 
     def test_mask_never_hurts_on_average(self, small_corpus):
         corpus = SpeakerCorpus.from_dir(small_corpus)
@@ -402,3 +421,90 @@ class TestEmitReport:
         from tfsep.harness import ExperimentReport
         with pytest.raises(ValueError):
             emit_report(ExperimentReport((), 0), "csv", tmp_path / "no.csv")
+
+
+def _noise_corpus(root, rates: dict, seconds: float, silent=()):
+    """One recording per speaker: noise, or zeros for the speakers in silent."""
+    gen = np.random.default_rng(4)
+    for name, rate in rates.items():
+        (root / name).mkdir()
+        n = round(seconds * rate)
+        samples = np.zeros(n) if name in silent else 0.3 * gen.normal(size=n)
+        save_wav(Signal(samples, rate), root / name / "u.wav")
+    return SpeakerCorpus.from_dir(root)
+
+
+class TestPerMixtureWork:
+    def test_clean_side_of_stoi_runs_once_per_mixture(self, small_corpus, monkeypatch):
+        from tfsep import metrics
+        calls = []
+
+        def counting_resample(sig, rate):
+            calls.append(len(sig))
+            return metrics_resample(sig, rate)
+
+        metrics_resample = metrics.resample
+        monkeypatch.setattr(metrics, "resample", counting_resample)
+        grid = [wavelet_entry("dwt", "haar", 1), wavelet_entry("dwt", "db4", 3),
+                wavelet_entry("wpt", "haar", 2)]
+        report = grid_search(SpeakerCorpus.from_dir(small_corpus), grid, n_mixtures=2, seed=3)
+        assert all(row.status == "ok" and row.stoi is not None for row in report.rows)
+        assert len(calls) == 2 + 3 * 2      # M references + C x M estimates
+
+    @pytest.mark.parametrize("seconds, silent, reason", [
+        (1.0, ("a",), "clean signal is silent"),
+        (0.01, (), "signals too short"),
+        (0.2, (), "fewer than 30 frames"),
+    ], ids=["silent", "too-short", "few-frames"])
+    def test_unscorable_target_empties_every_stoi_cell(
+            self, tmp_path, monkeypatch, seconds, silent, reason):
+        corpus = _noise_corpus(tmp_path, {"a": 16000, "b": 16000}, seconds, silent)
+        trials = []
+
+        def spy(mix, cfg):
+            scores = run_ibm_trial(mix, cfg)
+            alone = run_ibm_trial(dataclasses.replace(mix, reference=None), cfg)
+            trials.append((mix.reference, scores.stoi, alone.stoi))
+            return scores
+
+        monkeypatch.setattr(harness, "run_ibm_trial", spy)
+        grid = [wavelet_entry("dwt", "haar", 1), wavelet_entry("wpt", "haar", 1)]
+        # seed 1 draws targets b, b, a, a
+        report = grid_search(corpus, grid, n_mixtures=4, seed=1)
+        assert all(row.status == "ok" and row.stoi is None for row in report.rows)
+        assert all(by_reference == alone for _, by_reference, alone in trials)
+        failed = [ref for ref, _, _ in trials if isinstance(ref, ValueError)]
+        assert failed and all(reason in str(ref) for ref in failed)
+        assert len(trials) == 8
+
+    def test_every_rate_checked_before_the_first_trial(self, tmp_path, monkeypatch):
+        # seed 5: the first mixture is all 8 kHz, the second draws speaker d
+        corpus = _noise_corpus(tmp_path, {"a": 8000, "b": 8000, "c": 8000, "d": 16000}, 0.5)
+
+        def no_trials(mix, cfg):
+            raise AssertionError("a trial ran before every rate was checked")
+
+        monkeypatch.setattr(harness, "run_ibm_trial", no_trials)
+        with pytest.raises(DataError, match="sampling rate mismatch"):
+            grid_search(corpus, [wavelet_entry("dwt", "haar", 1)], n_mixtures=4, seed=5)
+        make_mixture(corpus, 2, int(np.random.SeedSequence(5).generate_state(1)[0]))
+
+    def test_memory_does_not_grow_with_the_mixtures(self, tmp_path):
+        import tracemalloc
+        from tfsep.cli import main
+        root = tmp_path / "corpus"
+        root.mkdir()
+        _noise_corpus(root, {s: 8000 for s in "abcd"}, 0.5)
+        grid = tmp_path / "grid.json"
+        # the 30-level rows fail: a failed trial must not keep its mixture alive
+        grid.write_text(json.dumps({"wavelet": {"families": ["haar"], "levels": [1, 30]}}))
+        peaks = []
+        for mixtures in (50, 400):
+            tracemalloc.start()
+            try:
+                assert main(["experiment", "--corpus", str(root), "--grid", str(grid),
+                             "--mixtures", str(mixtures), "--out", str(tmp_path / "r.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 << 20, peaks

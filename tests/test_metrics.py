@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tfsep import metrics
-from tfsep.metrics import MetricError, mse, si_sdr, snr, stoi
+from tfsep.metrics import MetricError, mse, si_sdr, snr, stoi, stoi_reference
 from tfsep.synth import speech_like
 
 
@@ -173,6 +173,10 @@ def _stoi_outcome(fn, clean, degraded, rate):
         return f"MetricError: {exc}"
 
 
+def _stoi_via_reference(clean, degraded, rate):
+    return stoi(clean, degraded, rate, stoi_reference(clean, rate))
+
+
 class TestStoiMatchesFrozenLoop:
     @pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 44100])
     @pytest.mark.parametrize("duration", [0.02, 0.3, 0.39, 1.7])
@@ -189,14 +193,16 @@ class TestStoiMatchesFrozenLoop:
         cases = {"mixture": clean + other, "clean": clean, "scaled": 0.3 * clean,
                  "noisy": clean + 0.1 * noise, "silence": np.zeros(n), "unrelated": noise}
         for name, degraded in cases.items():
-            assert (_stoi_outcome(stoi, clean, degraded, rate)
-                    == _stoi_outcome(_frozen_stoi, clean, degraded, rate)), name
+            outcome = _stoi_outcome(stoi, clean, degraded, rate)
+            assert outcome == _stoi_outcome(_frozen_stoi, clean, degraded, rate), name
+            assert outcome == _stoi_outcome(_stoi_via_reference, clean, degraded, rate), name
 
     def test_twelve_seconds(self, rng):
         clean = speech_like(12.0, 16000, np.random.default_rng(12)).samples
         other = speech_like(12.0, 16000, np.random.default_rng(13)).samples
         for degraded in (clean + other, clean + 0.1 * rng.normal(size=clean.size)):
             assert stoi(clean, degraded, 16000) == _frozen_stoi(clean, degraded, 16000)
+            assert stoi(clean, degraded, 16000) == _stoi_via_reference(clean, degraded, 16000)
 
     @pytest.mark.parametrize("rate, n", [(10000, 4863), (16000, 7780)])
     def test_clean_sound_only_after_the_last_full_frame(self, rate, n, rng):
@@ -208,4 +214,46 @@ class TestStoiMatchesFrozenLoop:
         degraded = rng.normal(size=n)
         outcome = _stoi_outcome(stoi, clean, degraded, rate)
         assert outcome == _stoi_outcome(_frozen_stoi, clean, degraded, rate)
+        assert outcome == _stoi_outcome(_stoi_via_reference, clean, degraded, rate)
         assert outcome == "MetricError: fewer than 30 frames remain after silent-frame removal"
+
+
+class TestStoiReference:
+    def test_one_reference_scores_many_estimates(self, speech_signal, rng):
+        s, rate = speech_signal.samples, speech_signal.rate
+        ref = stoi_reference(s, rate)
+        arrays = [a.copy() for a in (ref.keep, ref.norms, ref.bound, ref.centred,
+                                     ref.centred_norms)]
+        for degraded in (s + rng.normal(size=s.size), 0.5 * s, np.zeros(s.size), s):
+            assert stoi(s, degraded, rate, ref) == stoi(s, degraded, rate)
+        after = (ref.keep, ref.norms, ref.bound, ref.centred, ref.centred_norms)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, after))   # only read
+
+    @pytest.mark.parametrize("clean, error", [
+        (np.zeros(16000), "clean signal is silent"),
+        (np.ones(300), "signals too short"),
+        (np.ones(4000), "fewer than 30 frames"),
+        (np.full(16000, np.nan), "finite"),
+    ])
+    def test_raises_what_stoi_raises(self, clean, error, rng):
+        with pytest.raises(ValueError, match=error) as by_stoi:
+            stoi(clean, rng.normal(size=clean.size), 16000)
+        with pytest.raises(ValueError, match=error) as by_reference:
+            stoi_reference(clean, 16000)
+        assert type(by_stoi.value) is type(by_reference.value)
+
+    def test_signals_are_checked_before_the_reference(self, speech_signal):
+        s, rate = speech_signal.samples, speech_signal.rate
+        ref = stoi_reference(s, rate)
+        with pytest.raises(ValueError, match="length mismatch"):
+            stoi(s, s[:-1], rate, ref)
+        with pytest.raises(ValueError, match="finite"):
+            stoi(s, np.full(s.size, np.inf), rate, ref)
+
+    @pytest.mark.parametrize("trim, rate", [(1, 16000), (0, 8000)])
+    def test_reference_of_another_signal_rejected(self, speech_signal, trim, rate):
+        s = speech_signal.samples
+        ref = stoi_reference(s, speech_signal.rate)
+        other = s[trim:]
+        with pytest.raises(ValueError, match="STOI reference is for"):
+            stoi(other, other, rate, ref)
