@@ -163,9 +163,9 @@ class TestIbmTrial:
             assert scores.decomposition_time > 0.0
 
     def test_coefficients_released_before_reconstruction(self):
-        # 3 sources of a dense 5 ms / 1.25 ms hop STFT: holding every
-        # coefficient array through reconstruct and stoi peaked at 10.1x one
-        # array's size; released, the peak is the last forward transform's
+        # reconstruct and the scores must not run on top of every coefficient
+        # array of the trial: the mixture's, 3 sources', the mask and the
+        # masked copy of a dense 5 ms / 1.25 ms hop STFT
         import tracemalloc
         gen = np.random.default_rng(0)
         sources = tuple(Signal(gen.normal(size=16000), 8000) for _ in range(3))
@@ -437,13 +437,12 @@ def _noise_corpus(root, rates: dict, seconds: float, silent=()):
 class TestPerMixtureWork:
     def test_clean_side_of_stoi_runs_once_per_mixture(self, small_corpus, monkeypatch):
         from tfsep import metrics
-        calls = []
+        calls, metrics_resample = [], metrics.resample
 
         def counting_resample(sig, rate):
             calls.append(len(sig))
             return metrics_resample(sig, rate)
 
-        metrics_resample = metrics.resample
         monkeypatch.setattr(metrics, "resample", counting_resample)
         grid = [wavelet_entry("dwt", "haar", 1), wavelet_entry("dwt", "db4", 3),
                 wavelet_entry("wpt", "haar", 2)]
@@ -487,6 +486,7 @@ class TestPerMixtureWork:
         monkeypatch.setattr(harness, "run_ibm_trial", no_trials)
         with pytest.raises(DataError, match="sampling rate mismatch"):
             grid_search(corpus, [wavelet_entry("dwt", "haar", 1)], n_mixtures=4, seed=5)
+        # the first mixture alone builds, so its trials could have run first
         make_mixture(corpus, 2, int(np.random.SeedSequence(5).generate_state(1)[0]))
 
     def test_memory_does_not_grow_with_the_mixtures(self, tmp_path):
