@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .fourier import StftConfig, WindowKind, export_heatmap, stft
+from .fourier import StftConfig, WindowKind, export_heatmap
 from .harness import (SORT_COLUMNS, DataError, SpeakerCorpus, _positive_number,
                       default_grid, emit_report, grid_search, json_value,
                       load_grid_file, load_wav, make_mixture, save_wav)
+from .masking import DecompositionConfig, DwtConfig, WptConfig, decompose
 from .signal import Signal
-from .wavelet import (dwt_bands, dwt_heatmap_matrix, lookup, max_level, wavedec,
-                      wavelet_mode, wpt)
+from .wavelet import dwt_bands, dwt_heatmap_matrix, lookup, max_level, wavelet_mode
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,6 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"export a {name} as PGM (+ CSV)")
         p.add_argument("--in", dest="infile", required=True)
         if name == "spectrogram":
+            p.set_defaults(method="stft")
             _add_stft_options(p)
         else:
             p.add_argument("--method", choices=["dwt", "wpt"], default="dwt")
@@ -112,23 +113,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _stft_config(args, rate: int) -> StftConfig:
-    return StftConfig.from_milliseconds(args.window, args.win_ms, args.hop_ms, rate)
-
-
-def _wavelet_transform(args, sig):
-    """wavedec or wpt, as --method asks."""
-    transform = wavedec if args.method == "dwt" else wpt
-    return transform(sig, args.wavelet, args.levels, args.mode)
+def _config(args, rate: int) -> DecompositionConfig:
+    """The transform that --method and its options ask for, at `rate`."""
+    if args.method == "stft":
+        return StftConfig.from_milliseconds(args.window, args.win_ms, args.hop_ms, rate)
+    cls = DwtConfig if args.method == "dwt" else WptConfig
+    return cls(args.wavelet.name, args.levels, args.mode)
 
 
 def _cmd_decompose(args) -> int:
     sig = load_wav(args.infile)
+    tf = decompose(sig, _config(args, sig.rate))
     if args.method == "stft":
-        matrix = stft(sig, _stft_config(args, sig.rate)).coeffs
-        rows = [[f"{c.real:.17g}{c.imag:+.17g}j" for c in band] for band in matrix]
+        rows = [[f"{c.real:.17g}{c.imag:+.17g}j" for c in band] for band in tf.coeffs]
     else:
-        tf = _wavelet_transform(args, sig)
         bands = dwt_bands(tf) if args.method == "dwt" else tf.coeffs
         rows = [[f"{v:.17g}" for v in band] for band in bands]
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -137,15 +135,10 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_spectrogram(args) -> int:
+def _cmd_heatmap(args) -> int:
+    """spectrogram and scaleogram: the magnitudes of --method's coefficients."""
     sig = load_wav(args.infile)
-    matrix = np.abs(stft(sig, _stft_config(args, sig.rate)).coeffs)
-    export_heatmap(matrix, args.out, args.csv)
-    return 0
-
-
-def _cmd_scaleogram(args) -> int:
-    tf = _wavelet_transform(args, load_wav(args.infile))
+    tf = decompose(sig, _config(args, sig.rate))
     matrix = np.abs(dwt_heatmap_matrix(tf) if args.method == "dwt" else tf.coeffs)
     export_heatmap(matrix, args.out, args.csv)
     return 0
@@ -208,8 +201,8 @@ def _cmd_experiment(args) -> int:
 
 _COMMANDS = {
     "decompose": _cmd_decompose,
-    "spectrogram": _cmd_spectrogram,
-    "scaleogram": _cmd_scaleogram,
+    "spectrogram": _cmd_heatmap,
+    "scaleogram": _cmd_heatmap,
     "metrics": _cmd_metrics,
     "mix": _cmd_mix,
     "experiment": _cmd_experiment,

@@ -14,7 +14,6 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -44,26 +43,11 @@ def _is_pow2(n: int) -> bool:
 # alike on a 2-vCPU Xeon VM; a whole 480 x 1024 batch at once took twice as long)
 _CHUNK_POINTS = 1 << 14
 
-# transforms of up to this many points keep their twiddle tables in the
-# lru_caches below (8.1 MiB measured after every such size and both signs);
-# longer ones build them afresh on each call, so no call leaves them resident
-_CACHED_POINTS = 2 * _CHUNK_POINTS
-
-
-def _tables(make, n: int):
-    """`make`, an lru_cache'd table builder, for an n-point transform: the
-    cached one up to _CACHED_POINTS points, the uncached one above."""
-    return make if n <= _CACHED_POINTS else make.__wrapped__
-
-
-@lru_cache(maxsize=None)
 def _twiddles(m: int, sign: float, width: int) -> np.ndarray:
     """exp(sign*i*pi*k/m) for k < m, the twiddles of the radix-2 step that
     joins two m-point DFTs, one row per k repeated across `width` columns."""
     tw = np.exp((sign * 1j * np.pi / m) * np.arange(m))
-    tw = np.repeat(tw[:, None], width, axis=1)
-    tw.setflags(write=False)
-    return tw
+    return np.repeat(tw[:, None], width, axis=1)
 
 
 def _butterfly(top, bottom, tw, plus, minus):
@@ -89,12 +73,10 @@ def _fft_core(x: np.ndarray, sign: float) -> np.ndarray:
     n = x.shape[-1]
     rows = x.reshape(-1, n)
     out = np.empty(rows.shape, dtype=np.complex128)
-    width = max(1, _CHUNK_POINTS // n)
-    cols = max(1, min(width, rows.shape[0]))
-    twiddles = _tables(_twiddles, n)
+    cols = max(1, min(_CHUNK_POINTS // n, rows.shape[0]))
     odd = (n.bit_length() - 1) % 2
-    first = twiddles(1, sign, width) if odd else None
-    steps = [(step, twiddles(step, sign, width), twiddles(2 * step, sign, width))
+    first = _twiddles(1, sign, cols) if odd else None
+    steps = [(step, _twiddles(step, sign, cols), _twiddles(2 * step, sign, cols))
              for step in (1 << e for e in range(odd, n.bit_length() - 1, 2))]
     buf = np.empty((2, n, cols), dtype=np.complex128)
     half = np.empty((2, n // 2, cols), dtype=np.complex128)
@@ -138,7 +120,6 @@ def ifft(x) -> np.ndarray:
     return _fft_core(x, 1.0) / x.shape[-1]
 
 
-@lru_cache(maxsize=None)
 def _half_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows (1 - i w^k)/2 and (1 + i w^k)/2 for k = 0..n/2, w = exp(-2*pi*i/n).
 
@@ -146,10 +127,7 @@ def _half_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     out real and equal to the sums a complex transform gives them."""
     w = np.exp((-2j * np.pi / n) * np.arange(n // 2 + 1))
     w[-1] = -1.0
-    a, b = 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+    return 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
 
 
 def _rfft(frames: np.ndarray, n: int) -> np.ndarray:
@@ -168,7 +146,7 @@ def _rfft(frames: np.ndarray, n: int) -> np.ndarray:
     packed.view(np.float64)[:, :width] = frames
     z = _fft_core(packed, -1.0)
     del packed                                   # at most frames, z and spec at once
-    a, b = _tables(_half_twiddles, n)(n)
+    a, b = _half_twiddles(n)
     spec = np.empty((rows, m + 1), dtype=np.complex128)
     np.conjugate(z[:, :1], out=spec[:, :1])
     np.conjugate(z[:, ::-1], out=spec[:, 1:])    # conj Z[n/2 - k] for k = 1..n/2
@@ -189,7 +167,7 @@ def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
     whose float64 view is the row of samples.
     """
     m = n // 2
-    a, b = _tables(_half_twiddles, n)(n)
+    a, b = _half_twiddles(n)
     z = np.empty((spec.shape[0], m), dtype=np.complex128)
     np.multiply(spec[:, 1:m], np.conjugate(a[1:m]), out=z[:, 1:])
     mirror = np.conjugate(spec[:, m - 1:0:-1])
@@ -261,10 +239,10 @@ def _frame(x: np.ndarray, win_size: int, hop: int) -> np.ndarray:
 
 # frames x fft_size of one STFT, 8.5x the largest default-grid STFT of a 12 s,
 # 44.1 kHz recording (100 ms, 25 ms hop). The tracemalloc peaks of stft and of
-# istft, measured from cold caches at 2^21 and 2^22 points: 24.6 bytes per point
-# up to 2^14-point FFTs (three frame-sized arrays at once), so 790 MiB at this
-# limit; longer FFTs add twiddle tables built in the call, up to 40 (stft) and
-# 48 (istft) bytes per point for 2 frames of 2^20 points, so up to 1.5 GiB.
+# istft at 2^21 and 2^22 points, each call building its own twiddle tables: about
+# 25 bytes per point for 2^5- to 2^16-point FFTs (three frame-sized arrays at once;
+# istft 33 when hop == window), so 800 MiB at this limit; up to 40 (stft) and 48
+# (istft) for 2-point FFTs or 2 frames of 2^20 points, so up to 1.5 GiB.
 STFT_MAX_POINTS = 1 << 25
 
 

@@ -24,7 +24,7 @@ from .masking import (DecompositionConfig, DwtConfig, WptConfig, add, apply_mask
                       decompose, ideal_binary_mask, reconstruct)
 from .metrics import (MetricError, MetricScores, StoiReference, mse, si_sdr, snr, stoi,
                       stoi_reference)
-from .signal import Signal, resample
+from .signal import Signal
 from .wavelet import available_families, lookup, wavelet_mode
 
 
@@ -120,17 +120,17 @@ class SpeakerCorpus:
 @dataclass(frozen=True)
 class Mixture:
     """An instantaneous sum of two or more equal-length sources; sources[0]
-    is the separation target. `reference` is the target's STOI reference, or
-    the error building it raised; without one every trial builds its own."""
+    is the separation target. `reference` is the target's STOI reference;
+    without one every trial builds its own."""
 
     mixture: Signal
     sources: tuple[Signal, ...]
     speaker_ids: tuple[str, ...]
-    reference: StoiReference | ValueError | None = field(default=None, compare=False)
+    reference: StoiReference | None = field(default=None, compare=False)
 
 
-def _draw(corpus: SpeakerCorpus, n_speakers: int, seed: int, allow_resample: bool = False):
-    """The seeded recordings of one mixture, all at the first one's rate, and
+def _draw(corpus: SpeakerCorpus, n_speakers: int, seed: int):
+    """The seeded recordings of one mixture, which must share one rate, and
     their speaker ids."""
     if n_speakers < 2:
         raise ValueError("a mixture needs at least 2 speakers")
@@ -146,20 +146,16 @@ def _draw(corpus: SpeakerCorpus, n_speakers: int, seed: int, allow_resample: boo
         signals.append(corpus.load(file))
         ids.append(entry.speaker_id)
     rate = signals[0].rate
-    for i, sig in enumerate(signals):
+    for sig in signals:
         if sig.rate != rate:
-            if not allow_resample:
-                raise DataError(
-                    f"sampling rate mismatch: {sig.rate} vs {rate} (pass allow_resample=True)")
-            signals[i] = resample(sig, rate)
+            raise DataError(f"sampling rate mismatch: {sig.rate} vs {rate}")
     return signals, ids
 
 
-def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int,
-                 allow_resample: bool = False) -> Mixture:
+def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int) -> Mixture:
     """Draw n distinct speakers and one recording each (seeded), zero-pad to a
     common length, and sum. The first drawn speaker is the target."""
-    signals, ids = _draw(corpus, n_speakers, seed, allow_resample)
+    signals, ids = _draw(corpus, n_speakers, seed)
     rate = signals[0].rate
     length = max(len(sig) for sig in signals)
     padded = tuple(Signal(np.pad(sig.samples, (0, length - len(sig))), rate)
@@ -199,8 +195,7 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
         except (MetricError, ValueError):
             return None
     return MetricScores(
-        stoi=(None if isinstance(mix.reference, ValueError)     # an unscorable target
-              else guarded(stoi, clean, estimate.samples, mix.mixture.rate, mix.reference)),
+        stoi=guarded(stoi, clean, estimate.samples, mix.mixture.rate, mix.reference),
         si_sdr=guarded(si_sdr, clean, estimate.samples),
         snr=guarded(snr, clean, estimate.samples),
         mse=guarded(mse, clean, estimate.samples),
@@ -229,15 +224,16 @@ class GridEntry:
 
 def stft_entry(window: str, size_ms: float, hop_fraction: float) -> GridEntry:
     hop_ms = size_ms * hop_fraction
-    return GridEntry("stft", f"{size_ms:g}ms {window} window {hop_ms:g}ms hop",
-                     (WindowKind(window), size_ms, hop_ms))
+    kind = WindowKind(window)
+    return GridEntry("stft", f"{size_ms:g}ms {kind.value} window {hop_ms:g}ms hop",
+                     (kind, size_ms, hop_ms))
 
 
 def wavelet_entry(kind: str, family: str, levels: int,
                   mode: str = "periodization") -> GridEntry:
     cls, label = (DwtConfig, "wavelet") if kind == "dwt" else (WptConfig, "wavelet_packet")
-    return GridEntry(label, f"{family} {levels} levels {mode}",
-                     cls(family, levels, wavelet_mode(mode)))
+    pad = wavelet_mode(mode)
+    return GridEntry(label, f"{family} {levels} levels {pad.value}", cls(family, levels, pad))
 
 
 def build_config(entry: GridEntry, rate: int) -> DecompositionConfig:
@@ -396,8 +392,8 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
         mix = make_mixture(corpus, n_speakers, mixture_seed)
         try:
             reference = stoi_reference(mix.sources[0].samples, mix.mixture.rate)
-        except ValueError as exc:             # MetricError too
-            reference = exc
+        except ValueError:                    # MetricError too; each trial raises it again
+            reference = None
         return list(mapper(partial(evaluate, replace(mix, reference=reference)), grid))
 
     workers = min(jobs, os.cpu_count() or 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tfsep import cli, harness
-from tfsep.cli import _stft_config, build_parser, main
+from tfsep.cli import _config, build_parser, main
 from tfsep.harness import build_config, default_grid, load_wav, save_wav
 from tfsep.signal import Signal
 from tfsep.synth import speech_like
@@ -51,7 +51,7 @@ class TestStftMilliseconds:
                 ["decompose", "--in", "x.wav", "--method", "stft", "--out", "x.csv",
                  "--window", "rect" if window == "rectangular" else window,
                  "--win-ms", win_ms[:-2], "--hop-ms", hop_ms[:-2]])
-            assert _stft_config(args, rate) == build_config(entry, rate), entry.params
+            assert _config(args, rate) == build_config(entry, rate), entry.params
 
 
 class TestImages:

@@ -57,6 +57,23 @@ class TestFft:
         assert np.max(np.abs(back - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
+class TestNoStateLeft:
+    def test_transforms_hold_no_memory_afterwards(self):
+        rows = [np.random.default_rng(e).normal(size=(3, 1 << e)) for e in range(1, 17)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for x in rows:
+                n = x.shape[-1]
+                fft(x)
+                ifft(x)
+                _irfft(_rfft(x, n), n)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert held <= 64 << 10
+
+
 class TestInputsUntouched:
     """The transforms only read their input: it stays bit-unchanged and shares
     no memory with the output."""
