@@ -48,6 +48,10 @@ def _milliseconds(text: str) -> float:
     return value
 
 
+# the metrics `tfsep metrics` prints, in the order of its JSON keys
+_METRICS = ("stoi", "si_sdr", "snr", "mse")
+
+
 def _add_stft_options(p):
     p.add_argument("--window", type=WindowKind, default="hann",
                    help="hann or rectangular (rect)")
@@ -88,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="score a degraded file against a reference")
     p.add_argument("--ref", required=True)
     p.add_argument("--deg", required=True)
-    for m in ("stoi", "si-sdr", "snr", "mse"):
-        p.add_argument(f"--{m}", action="store_true")
+    for name in _METRICS:
+        p.add_argument(f"--{name.replace('_', '-')}", action="store_true")
 
     p = sub.add_parser("mix", help="synthesize a speaker mixture from a corpus")
     p.add_argument("--corpus", required=True)
@@ -151,21 +155,12 @@ def _cmd_metrics(args) -> int:
         raise DataError(f"rate mismatch: {ref.rate} vs {deg.rate}")
     if len(ref) != len(deg):
         raise DataError(f"length mismatch: {len(ref)} vs {len(deg)}")
-    wanted = {name for name, flag in
-              (("stoi", args.stoi), ("si_sdr", args.si_sdr),
-               ("snr", args.snr), ("mse", args.mse)) if flag}
-    if not wanted:
-        wanted = {"stoi", "si_sdr", "snr", "mse"}
     out = {}
-    if "stoi" in wanted:
-        out["stoi"] = metrics_mod.stoi(ref.samples, deg.samples, ref.rate)
-    if "si_sdr" in wanted:
-        out["si_sdr"] = metrics_mod.si_sdr(ref.samples, deg.samples)
-    if "snr" in wanted:
-        out["snr"] = metrics_mod.snr(ref.samples, deg.samples)
-    if "mse" in wanted:
-        out["mse"] = metrics_mod.mse(ref.samples, deg.samples)
-    print(json.dumps({k: json_value(v) for k, v in out.items()}))
+    for name in [m for m in _METRICS if getattr(args, m)] or _METRICS:
+        rate = (ref.rate,) if name == "stoi" else ()
+        # looked up at call time, so that a patched tfsep.metrics function is the one run
+        out[name] = json_value(getattr(metrics_mod, name)(ref.samples, deg.samples, *rate))
+    print(json.dumps(out))
     return 0
 
 
@@ -213,7 +208,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, metrics_mod.MetricError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError) as exc:   # MetricError is a ValueError
         print(f"tfsep: {exc}", file=sys.stderr)
         return 2
 

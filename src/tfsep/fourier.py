@@ -3,10 +3,12 @@ forward/inverse STFT, and heatmap export.
 
 The FFT is implemented here rather than delegated. `_fft_core` is an
 autosort (Stockham) transform in radix-4 steps over cache-sized chunks of a
-batch of rows; its outputs equal the radix-2 decimation-in-time transform's
-bit for bit. `_rfft` and `_irfft` handle real rows of N samples as one
-N/2-point complex transform of the packed even and odd samples (Sorensen,
-Jones, Heideman and Burrus, IEEE TASSP 1987), and the STFT uses them.
+batch of rows, on one ping-pong pair of chunk buffers with one twiddle
+column per stage; its outputs equal the radix-2 decimation-in-time
+transform's bit for bit. `_rfft` and `_irfft` handle real rows of N samples
+as one N/2-point complex transform of the packed even and odd samples
+(Sorensen, Jones, Heideman and Burrus, IEEE TASSP 1987), and the STFT uses
+them; `_rfft` writes the spectrum over the buffer it packed the rows into.
 """
 from __future__ import annotations
 
@@ -38,16 +40,15 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
-# points of one batch chunk: its buffers (3 x 256 KiB at this size) and twiddles
-# stay in a 2 MiB L2 cache while the stages sweep over them (2^13 to 2^15 timed
-# alike on a 2-vCPU Xeon VM; a whole 480 x 1024 batch at once took twice as long)
+# points of one batch chunk: its two buffers (2 x 256 KiB at this size) and the
+# twiddles stay in a 2 MiB L2 cache while the stages sweep over them (2^13 to 2^15
+# timed alike on a 2-vCPU Xeon VM; a whole 480 x 1024 batch at once took twice as long)
 _CHUNK_POINTS = 1 << 14
 
-def _twiddles(m: int, sign: float, width: int) -> np.ndarray:
+def _twiddles(m: int, sign: float) -> np.ndarray:
     """exp(sign*i*pi*k/m) for k < m, the twiddles of the radix-2 step that
-    joins two m-point DFTs, one row per k repeated across `width` columns."""
-    tw = np.exp((sign * 1j * np.pi / m) * np.arange(m))
-    return np.repeat(tw[:, None], width, axis=1)
+    joins two m-point DFTs, as an (m, 1) column that broadcasts across a chunk."""
+    return np.exp((sign * 1j * np.pi / m) * np.arange(m))[:, None]
 
 
 def _butterfly(top, bottom, tw, plus, minus):
@@ -68,35 +69,34 @@ def _fft_core(x: np.ndarray, sign: float) -> np.ndarray:
     for bit. The batch runs in chunks of about _CHUNK_POINTS points, copied
     in transposed so that the batch is the contiguous axis: a chunk buffer
     viewed as (N/L, L, cols) holds at [r, k] the L-point DFT of each row's
-    samples r, r + N/L, r + 2N/L, ... at frequency k.
+    samples r, r + N/L, r + 2N/L, ... at frequency k. Two chunk buffers
+    ping-pong: a radix-4 step writes its first level into the other buffer
+    and its second back over the one it read.
     """
     n = x.shape[-1]
     rows = x.reshape(-1, n)
     out = np.empty(rows.shape, dtype=np.complex128)
     cols = max(1, min(_CHUNK_POINTS // n, rows.shape[0]))
     odd = (n.bit_length() - 1) % 2
-    first = _twiddles(1, sign, cols) if odd else None
-    steps = [(step, _twiddles(step, sign, cols), _twiddles(2 * step, sign, cols))
+    first = _twiddles(1, sign) if odd else None
+    steps = [(step, _twiddles(step, sign), _twiddles(2 * step, sign))
              for step in (1 << e for e in range(odd, n.bit_length() - 1, 2))]
     buf = np.empty((2, n, cols), dtype=np.complex128)
-    half = np.empty((2, n // 2, cols), dtype=np.complex128)
     for lo in range(0, rows.shape[0], cols):
         b = min(cols, rows.shape[0] - lo)
         src, dst = buf[0, :, :b], buf[1, :, :b]
         np.copyto(src, rows[lo:lo + b].T)
         if odd:
             y, d = src.reshape(n, 1, b), dst.reshape(n // 2, 2, 1, b)
-            _butterfly(y[:n // 2], y[n // 2:], first[:, :b], d[:, 0], d[:, 1])
+            _butterfly(y[:n // 2], y[n // 2:], first, d[:, 0], d[:, 1])
             src, dst = dst, src
         for step, tw1, tw2 in steps:
             q = n // (4 * step)
-            y = src.reshape(4 * q, step, b)
-            s, t = half[0, :, :b].reshape(2 * q, step, b), half[1, :, :b].reshape(2 * q, step, b)
-            _butterfly(y[:2 * q], y[2 * q:], tw1[:, :b], s, t)
-            d = dst.reshape(q, 4, step, b)
-            _butterfly(s[:q], s[q:], tw2[:step, :b], d[:, 0], d[:, 2])
-            _butterfly(t[:q], t[q:], tw2[step:, :b], d[:, 1], d[:, 3])
-            src, dst = dst, src
+            y, (s, t) = src.reshape(4 * q, step, b), dst.reshape(2, 2 * q, step, b)
+            _butterfly(y[:2 * q], y[2 * q:], tw1, s, t)
+            d = src.reshape(q, 4, step, b)
+            _butterfly(s[:q], s[q:], tw2[:step], d[:, 0], d[:, 2])
+            _butterfly(t[:q], t[q:], tw2[step:], d[:, 1], d[:, 3])
         np.copyto(out[lo:lo + b], src.T)
     return out.reshape(x.shape)
 
@@ -125,8 +125,7 @@ def _half_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     w^(n/2) is set to exactly -1, so that bins 0 and n/2 of a real row come
     out real and equal to the sums a complex transform gives them."""
-    w = np.exp((-2j * np.pi / n) * np.arange(n // 2 + 1))
-    w[-1] = -1.0
+    w = np.append(_twiddles(n // 2, -1.0), -1.0)
     return 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
 
 
@@ -138,16 +137,15 @@ def _rfft(frames: np.ndarray, n: int) -> np.ndarray:
     The n/2-point transform Z of z[j] = x[2j] + i x[2j+1] gives
     X[k] = A[k] Z[k] + B[k] conj(Z[n/2 - k]), indices mod n/2, with the
     half-twiddles A, B of `_half_twiddles`. The packed rows z are the
-    float64 view of a complex row, so the frames are copied in as they are.
+    float64 view of a complex row, so the frames are copied in as they are;
+    the spectrum is then written over the buffer they were packed into.
     """
     rows, width = frames.shape
     m = n // 2
-    packed = np.zeros((rows, m), dtype=np.complex128)
-    packed.view(np.float64)[:, :width] = frames
-    z = _fft_core(packed, -1.0)
-    del packed                                   # at most frames, z and spec at once
+    spec = np.zeros((rows, m + 1), dtype=np.complex128)
+    spec.view(np.float64)[:, :width] = frames
+    z = _fft_core(spec[:, :m], -1.0)
     a, b = _half_twiddles(n)
-    spec = np.empty((rows, m + 1), dtype=np.complex128)
     np.conjugate(z[:, :1], out=spec[:, :1])
     np.conjugate(z[:, ::-1], out=spec[:, 1:])    # conj Z[n/2 - k] for k = 1..n/2
     spec *= b

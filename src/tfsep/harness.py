@@ -22,7 +22,7 @@ import numpy as np
 from .fourier import StftConfig, WindowKind
 from .masking import (DecompositionConfig, DwtConfig, WptConfig, add, apply_mask,
                       decompose, ideal_binary_mask, reconstruct)
-from .metrics import (MetricError, MetricScores, StoiReference, mse, si_sdr, snr, stoi,
+from .metrics import (MetricScores, StoiReference, mse, si_sdr, snr, stoi,
                       stoi_reference)
 from .signal import Signal
 from .wavelet import available_families, lookup, wavelet_mode
@@ -192,7 +192,7 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
     def guarded(fn, *args):
         try:
             return fn(*args)
-        except (MetricError, ValueError):
+        except ValueError:                 # MetricError too
             return None
     return MetricScores(
         stoi=guarded(stoi, clean, estimate.samples, mix.mixture.rate, mix.reference),
@@ -343,7 +343,11 @@ class ReportRow:
 @dataclass(frozen=True)
 class ExperimentReport:
     rows: tuple[ReportRow, ...]
-    n_mixtures: int
+
+    @property
+    def n_mixtures(self) -> int:
+        """The mixture count every row was averaged over."""
+        return self.rows[0].n_mixtures
 
 
 SORT_COLUMNS = ("stoi", "si_sdr", "snr", "mse", "time_s")
@@ -425,7 +429,7 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
         return (0, -value if sort_by in _SORT_DESCENDING else value)
 
     rows.sort(key=sort_key)
-    return ExperimentReport(tuple(rows), n_mixtures)
+    return ExperimentReport(tuple(rows))
 
 
 _REPORT_COLUMNS = ("decomposition", "params", "stoi", "si_sdr", "snr", "mse",

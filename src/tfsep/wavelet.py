@@ -395,7 +395,9 @@ def central_frequency(name: str) -> float:
     relation (scaling steps, then one wavelet step, eight iterations total),
     and the frequency is the dominant Fourier-series harmonic over the
     wavelet's support: k full oscillations across K-1 samples of support give
-    k/(K-1) cycles per sample (sym8 peaks at 10 of 15, i.e. 0.667).
+    k/(K-1) cycles per sample (sym8 peaks at 10 of 15, i.e. 0.667). The
+    harmonics go through the basis product in row blocks, so memory stays
+    bounded (about 8 MiB for coif17).
     """
     bank = lookup(name)
     phi = np.array([1.0])
@@ -405,8 +407,12 @@ def central_frequency(name: str) -> float:
     support = len(bank) - 1
     period = support << _CASCADE_ITERATIONS
     harmonics = np.arange(1, 4 * support + 1)
-    basis = np.exp(-2j * np.pi * np.outer(harmonics, np.arange(psi.size)) / period)
-    k = harmonics[int(np.argmax(np.abs(basis @ psi)))]
+    samples = np.arange(psi.size)
+    block = max(1, (1 << 18) // psi.size)       # harmonics per 4 MiB of basis
+    power = np.concatenate([
+        np.abs(np.exp(-2j * np.pi * np.outer(harmonics[i:i + block], samples) / period) @ psi)
+        for i in range(0, harmonics.size, block)])
+    k = harmonics[int(np.argmax(power))]
     return float(k) / support
 
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tfsep
 from tfsep import cli, harness
 from tfsep.cli import _config, build_parser, main
 from tfsep.harness import build_config, default_grid, load_wav, save_wav
@@ -284,3 +289,21 @@ class TestUsageErrors:
             main([command, *required, "--out", str(tmp_path / "r.csv"), option, value])
         assert exc.value.code == 1
         assert option in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    """A bare `import tfsep` asks BLAS for one thread; a value the user set wins."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_fresh_import(self, preset):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        if preset is not None:
+            env.update(dict.fromkeys(self.VARS, preset))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(Path(tfsep.__file__).parents[1]), env.get("PYTHONPATH"))))
+        code = f"import os, tfsep; print(*(os.environ.get(v) for v in {self.VARS!r}))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout.split()
+        assert out == [preset or "1"] * 3

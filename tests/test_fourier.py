@@ -74,6 +74,23 @@ class TestNoStateLeft:
         assert held <= 64 << 10
 
 
+class TestScratch:
+    # STOI's 940 x 256 frame batch (12 s at 10 kHz) and a 751 x 128 batch: beyond
+    # its output the core holds its two chunk buffers (512 KiB), per-stage twiddle
+    # columns and numpy's broadcasting buffers, about 0.8 MiB in all
+    @pytest.mark.parametrize("rows, n", [(940, 256), (751, 128)])
+    def test_fft_core_scratch_beyond_output(self, rng, rows, n):
+        x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = _fft_core(x, -1.0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1 << 20
+
+
 class TestInputsUntouched:
     """The transforms only read their input: it stays bit-unchanged and shares
     no memory with the output."""

@@ -258,7 +258,7 @@ class TestGridSearch:
         report = grid_search(corpus, _small_grid(), n_mixtures=2, seed=3)
         assert len(report.rows) == 3
         assert all(row.status == "ok" for row in report.rows)
-        assert all(row.n_mixtures == 2 for row in report.rows)
+        assert all(row.n_mixtures == 2 for row in report.rows) and report.n_mixtures == 2
         stois = [row.stoi for row in report.rows]
         assert stois == sorted(stois, reverse=True)
 
@@ -419,7 +419,7 @@ class TestEmitReport:
     def test_infinity_serialized_as_inf(self, tmp_path):
         from tfsep.harness import ExperimentReport, ReportRow
         row = ReportRow("stft", "x", 1.0, math.inf, math.inf, 0.0, 0.1, 1, "ok")
-        report = ExperimentReport((row,), 1)
+        report = ExperimentReport((row,))
         emit_report(report, "csv", tmp_path / "inf.csv")
         assert ",inf," in (tmp_path / "inf.csv").read_text()
         emit_report(report, "json", tmp_path / "inf.json")
@@ -429,7 +429,7 @@ class TestEmitReport:
     def test_empty_report_rejected(self, tmp_path):
         from tfsep.harness import ExperimentReport
         with pytest.raises(ValueError):
-            emit_report(ExperimentReport((), 0), "csv", tmp_path / "no.csv")
+            emit_report(ExperimentReport(()), "csv", tmp_path / "no.csv")
 
 
 def _noise_corpus(root, rates: dict, seconds: float, silent=()):

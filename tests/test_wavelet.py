@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from tfsep.wavelet import (WaveletFilterBank, available_families, central_freque
                            dwt_bands, dwt_heatmap_matrix, dwt_step, gray_permutation,
                            idwt_step, iwpt, lookup, max_level, qmf_highpass,
                            scale_to_frequency, verify_pr, wavedec, waverec, wpt)
+from tfsep.wavelet import _CASCADE_ITERATIONS, _upsample_by
 
 ALL_MODES = [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC]
 SQRT2 = np.sqrt(2.0)
@@ -333,9 +336,49 @@ class TestVanishingMoments:
         assert count_vanishing_moments(bank) == 0
 
 
+def _dense_central_frequency(name):
+    """central_frequency as first written: the whole harmonics x samples
+    Fourier basis at once (318 MiB for coif17)."""
+    bank = lookup(name)
+    phi = np.array([1.0])
+    for j in range(_CASCADE_ITERATIONS - 1):
+        phi = np.convolve(phi, _upsample_by(bank.rec_lo, 1 << j))
+    psi = np.convolve(phi, _upsample_by(bank.rec_hi, 1 << (_CASCADE_ITERATIONS - 1)))
+    support = len(bank) - 1
+    period = support << _CASCADE_ITERATIONS
+    harmonics = np.arange(1, 4 * support + 1)
+    basis = np.exp(-2j * np.pi * np.outer(harmonics, np.arange(psi.size)) / period)
+    k = harmonics[int(np.argmax(np.abs(basis @ psi)))]
+    return float(k) / support
+
+
+# _dense_central_frequency of the longest coiflets (38-318 MiB each): k / support
+_DENSE_COIFLETS = {"coif7": 28 / 41, "coif8": 32 / 47, "coif9": 36 / 53, "coif10": 40 / 59,
+                   "coif11": 44 / 65, "coif12": 48 / 71, "coif13": 52 / 77, "coif14": 56 / 83,
+                   "coif15": 60 / 89, "coif16": 64 / 95, "coif17": 68 / 101}
+
+
 class TestFrequencyMapping:
     def test_sym8_central_frequency(self):
         assert abs(central_frequency("sym8") - 0.666) <= 0.01
+
+    # the top two harmonics of coif11-coif17 differ by under 1e-4 relative, so
+    # the power must be summed as the dense basis product sums it
+    @pytest.mark.parametrize("name", available_families())
+    def test_central_frequency_matches_dense_basis(self, name):
+        expected = _DENSE_COIFLETS.get(name)
+        if expected is None:
+            expected = _dense_central_frequency(name)
+        assert central_frequency(name) == expected
+
+    def test_central_frequency_memory_bounded(self):
+        tracemalloc.start()
+        try:
+            central_frequency.__wrapped__("coif17")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 << 20
 
     def test_sym8_dyadic_scales_at_16k(self):
         bank = lookup("sym8")
