@@ -85,11 +85,12 @@ class SpeakerEntry:
 
 
 class SpeakerCorpus:
-    """A directory of speakers (one subdirectory each) with lazily-loaded WAVs."""
+    """A directory of speakers (one subdirectory each). No recording is kept:
+    each WAV is decoded when it is read and released with its mixture, so
+    memory follows one mixture, not the corpus."""
 
     def __init__(self, speakers):
         self.speakers = tuple(speakers)
-        self._cache: dict[Path, Signal] = {}
 
     @classmethod
     def from_dir(cls, directory) -> "SpeakerCorpus":
@@ -107,9 +108,7 @@ class SpeakerCorpus:
         return cls(speakers)
 
     def load(self, path: Path) -> Signal:
-        if path not in self._cache:
-            self._cache[path] = load_wav(path)
-        return self._cache[path]
+        return load_wav(path)
 
     def check_speakers(self, n: int) -> None:
         """Raise DataError if the corpus holds fewer than n speakers."""

@@ -36,6 +36,8 @@ def _as_pair(s, s_hat):
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s.size != s_hat.size:
         raise ValueError(f"length mismatch: {s.size} vs {s_hat.size}")
+    if s.size == 0:
+        raise ValueError("empty signals have no score")
     return s, s_hat
 
 
@@ -149,9 +151,9 @@ class StoiReference:
 
 def stoi_reference(s, rate: int) -> StoiReference:
     """The STOI reference of clean signal s at `rate`. Raises what stoi
-    raises for this clean signal: ValueError for samples or a rate no Signal
-    holds, MetricError for a signal too short or silent to score against."""
-    clean = Signal(s, rate)
+    raises for this clean signal: ValueError for no samples, or samples or a
+    rate no Signal holds, MetricError for a signal too short or silent."""
+    clean = Signal(_as_pair(s, s)[0], rate)   # stoi's own input checks come first
     x, keep = _stoi_segments(clean)
     centred = x - x.mean(axis=-1, keepdims=True)
     return StoiReference(clean.rate, len(clean), keep,

@@ -170,7 +170,7 @@ def resample(s: Signal, to_rate: int) -> Signal:
     half = _SINC_HALF
     cutoff = 0.5 * min(1.0, up / down)  # cycles per input sample
     offsets = np.arange(-half + 1, half + 1)
-    xp = np.concatenate([np.zeros(half), s.samples, np.zeros(half + down + 2)])
+    xp = np.concatenate([np.zeros(half), s.samples, np.zeros(half + 2)])
     # row r holds xp[r : r + 64]; output j = phase + k*up reads row base + 1 + k*down
     windows = np.lib.stride_tricks.sliding_window_view(xp, 2 * half)
     out = np.empty(n_out)

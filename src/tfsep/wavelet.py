@@ -332,19 +332,14 @@ def waverec(tf: TFRepresentation, bank: WaveletFilterBank) -> Signal:
 def gray_permutation(levels: int) -> np.ndarray:
     """Frequency rank G[j] of each natural-order packet leaf j.
 
-    Built from the recurrence G[2j] = 2G[j] or 2G[j]+1 (and the complementary
-    rule for G[2j+1]) depending on the parity of G[j], starting from G[0] = 0.
-    Its inverse permutation is the binary-reflected Gray code sequence.
+    The inverse of the binary-reflected Gray code: leaf k ^ (k >> 1) holds
+    frequency rank k.
     """
     if levels < 0:
         raise ValueError("levels must be non-negative")
-    g = np.array([0], dtype=np.intp)
-    for _ in range(levels):
-        even = g % 2 == 0
-        out = np.empty(2 * g.size, dtype=np.intp)
-        out[0::2] = np.where(even, 2 * g, 2 * g + 1)
-        out[1::2] = np.where(even, 2 * g + 1, 2 * g)
-        g = out
+    k = np.arange(1 << levels, dtype=np.intp)
+    g = np.empty_like(k)
+    g[k ^ (k >> 1)] = k
     return g
 
 

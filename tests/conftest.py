@@ -1,3 +1,6 @@
+# first, so that its one-BLAS-thread default applies before numpy loads
+import tfsep  # noqa: F401
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings

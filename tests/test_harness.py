@@ -432,14 +432,16 @@ class TestEmitReport:
             emit_report(ExperimentReport(()), "csv", tmp_path / "no.csv")
 
 
-def _noise_corpus(root, rates: dict, seconds: float, silent=()):
-    """One recording per speaker: noise, or zeros for the speakers in silent."""
+def _noise_corpus(root, rates: dict, seconds: float, silent=(), recordings: int = 1):
+    """`recordings` recordings per speaker: noise, or zeros for the speakers
+    in silent."""
     gen = np.random.default_rng(4)
     for name, rate in rates.items():
         (root / name).mkdir()
         n = round(seconds * rate)
-        samples = np.zeros(n) if name in silent else 0.3 * gen.normal(size=n)
-        save_wav(Signal(samples, rate), root / name / "u.wav")
+        for i in range(recordings):
+            samples = np.zeros(n) if name in silent else 0.3 * gen.normal(size=n)
+            save_wav(Signal(samples, rate), root / name / f"u{i:03d}.wav")
     return SpeakerCorpus.from_dir(root)
 
 
@@ -506,7 +508,8 @@ class TestPerMixtureWork:
         from tfsep.cli import main
         root = tmp_path / "corpus"
         root.mkdir()
-        _noise_corpus(root, {s: 8000 for s in "abcd"}, 0.5)
+        # enough recordings that a corpus held in memory would show
+        _noise_corpus(root, {s: 8000 for s in "abcd"}, 0.5, recordings=100)
         grid = tmp_path / "grid.json"
         # the 30-level rows fail: a failed trial must not keep its mixture alive
         grid.write_text(json.dumps({"wavelet": {"families": ["haar"], "levels": [1, 30]}}))

@@ -234,6 +234,7 @@ class TestStoiReference:
         (np.ones(300), "signals too short"),
         (np.ones(4000), "fewer than 30 frames"),
         (np.full(16000, np.nan), "finite"),
+        (np.zeros(0), "empty signals have no score"),
     ])
     def test_raises_what_stoi_raises(self, clean, error, rng):
         with pytest.raises(ValueError, match=error) as by_stoi:

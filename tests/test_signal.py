@@ -155,3 +155,17 @@ class TestResample:
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
             resample(Signal(np.zeros(10), 8000), 0)
+
+    def test_memory_does_not_follow_the_input_rate(self):
+        # the padded input must not grow with the decimation factor (here
+        # 2,000,003), or a huge header rate asks for gigabytes
+        import tracemalloc
+        s = Signal(np.random.default_rng(2).normal(size=1000), 2_000_003)
+        tracemalloc.start()
+        try:
+            out = resample(s, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 5
+        assert peak < 1 << 20, peak

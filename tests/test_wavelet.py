@@ -259,6 +259,28 @@ class TestGrayOrdering:
             ref = np.array([n ^ (n >> 1) for n in range(2 ** levels)])
             assert np.array_equal(inv, ref)
 
+    def test_equals_the_parity_recurrence(self):
+        def recurrence(levels):
+            # oracle: G[2j] and G[2j+1] are 2G[j] and 2G[j]+1, swapped when
+            # G[j] is odd, starting from G[0] = 0
+            g = np.array([0], dtype=np.intp)
+            for _ in range(levels):
+                even = g % 2 == 0
+                out = np.empty(2 * g.size, dtype=np.intp)
+                out[0::2] = np.where(even, 2 * g, 2 * g + 1)
+                out[1::2] = np.where(even, 2 * g + 1, 2 * g)
+                g = out
+            return g
+
+        for levels in range(17):
+            g = gray_permutation(levels)
+            assert g.dtype == np.intp
+            assert np.array_equal(g, recurrence(levels)), levels
+
+    def test_negative_levels_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gray_permutation(-1)
+
 
 class TestWpt:
     def test_leaf_geometry(self, rng):
