@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics as metrics_mod
-from .fourier import StftConfig, WindowKind, export_heatmap
-from .harness import (SORT_COLUMNS, DataError, SpeakerCorpus, _positive_number,
-                      default_grid, emit_report, grid_search, json_value,
-                      load_grid_file, load_wav, make_mixture, save_wav)
-from .masking import DecompositionConfig, DwtConfig, WptConfig, decompose
+from .fourier import WindowKind, export_heatmap
+from .harness import (SORT_COLUMNS, DataError, SpeakerCorpus, _positive_number, build_config,
+                      default_grid, emit_report, grid_search, json_value, load_grid_file,
+                      load_wav, make_mixture, save_wav, stft_entry, wavelet_entry)
+from .masking import decompose
 from .signal import Signal
 from .wavelet import dwt_bands, dwt_heatmap_matrix, lookup, max_level, wavelet_mode
 
@@ -38,7 +38,7 @@ def _at_least(minimum: int):
     return count
 
 
-def _milliseconds(text: str) -> float:
+def _finite_positive(text: str) -> float:
     """An argparse type: a finite positive number, as a grid file's sizes_ms."""
     try:
         value = float(text)
@@ -55,8 +55,8 @@ _METRICS = ("stoi", "si_sdr", "snr", "mse")
 def _add_stft_options(p):
     p.add_argument("--window", type=WindowKind, default="hann",
                    help="hann or rectangular (rect)")
-    p.add_argument("--win-ms", type=_milliseconds, default=32.0)
-    p.add_argument("--hop-ms", type=_milliseconds, default=16.0)
+    p.add_argument("--win-ms", type=_finite_positive, default=32.0)
+    p.add_argument("--hop-ms", type=_finite_positive, default=16.0)
 
 
 def _add_wavelet_options(p):
@@ -117,17 +117,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config(args, rate: int) -> DecompositionConfig:
-    """The transform that --method and its options ask for, at `rate`."""
-    if args.method == "stft":
-        return StftConfig.from_milliseconds(args.window, args.win_ms, args.hop_ms, rate)
-    cls = DwtConfig if args.method == "dwt" else WptConfig
-    return cls(args.wavelet.name, args.levels, args.mode)
+def _transform(args):
+    """Decompose --in as the grid row that --method and its options name."""
+    sig = load_wav(args.infile)
+    entry = (stft_entry(args.window, args.win_ms, args.hop_ms) if args.method == "stft"
+             else wavelet_entry(args.method, args.wavelet.name, args.levels, args.mode))
+    return decompose(sig, build_config(entry, sig.rate))
 
 
 def _cmd_decompose(args) -> int:
-    sig = load_wav(args.infile)
-    tf = decompose(sig, _config(args, sig.rate))
+    tf = _transform(args)
     if args.method == "stft":
         rows = [[f"{c.real:.17g}{c.imag:+.17g}j" for c in band] for band in tf.coeffs]
     else:
@@ -141,8 +140,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     """spectrogram and scaleogram: the magnitudes of --method's coefficients."""
-    sig = load_wav(args.infile)
-    tf = decompose(sig, _config(args, sig.rate))
+    tf = _transform(args)
     matrix = np.abs(dwt_heatmap_matrix(tf) if args.method == "dwt" else tf.coeffs)
     export_heatmap(matrix, args.out, args.csv)
     return 0
@@ -153,8 +151,6 @@ def _cmd_metrics(args) -> int:
     deg = load_wav(args.deg)
     if ref.rate != deg.rate:
         raise DataError(f"rate mismatch: {ref.rate} vs {deg.rate}")
-    if len(ref) != len(deg):
-        raise DataError(f"length mismatch: {len(ref)} vs {len(deg)}")
     out = {}
     for name in [m for m in _METRICS if getattr(args, m)] or _METRICS:
         rate = (ref.rate,) if name == "stoi" else ()

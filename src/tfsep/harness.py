@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import wave
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -44,8 +45,6 @@ def load_wav(path) -> Signal:
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as fh:
-            if fh.getcomptype() != "NONE":
-                raise DataError(f"{path}: compressed WAV ({fh.getcomptype()}) is not supported")
             width = fh.getsampwidth()
             if width != 2:
                 raise DataError(f"{path}: unsupported bit depth {8 * width}; only 16-bit PCM")
@@ -221,11 +220,15 @@ class GridEntry:
     config: DwtConfig | WptConfig | tuple[WindowKind, float, float] = field(compare=False)
 
 
-def stft_entry(window: str, size_ms: float, hop_fraction: float) -> GridEntry:
-    hop_ms = size_ms * hop_fraction
+def _ms_label(value: float) -> str:
+    """`value` as `:g` writes it, or as repr where `:g` would not read back exactly."""
+    return f"{value:g}" if float(f"{value:g}") == value else repr(value)
+
+
+def stft_entry(window: str, size_ms: float, hop_ms: float) -> GridEntry:
     kind = WindowKind(window)
-    return GridEntry("stft", f"{size_ms:g}ms {kind.value} window {hop_ms:g}ms hop",
-                     (kind, size_ms, hop_ms))
+    return GridEntry("stft", f"{_ms_label(size_ms)}ms {kind.value} window "
+                     f"{_ms_label(hop_ms)}ms hop", (kind, size_ms, hop_ms))
 
 
 def wavelet_entry(kind: str, family: str, levels: int,
@@ -247,7 +250,7 @@ def _grid_entries(sections: dict) -> list[GridEntry]:
     entries = []
     if "stft" in sections:
         sect = sections["stft"]
-        entries.extend(stft_entry(w, s, h) for w in sect["windows"]
+        entries.extend(stft_entry(w, s, s * h) for w in sect["windows"]
                        for s in sect["sizes_ms"] for h in sect["hop_fractions"])
     for key, kind in (("wavelet", "dwt"), ("wpt", "wpt")):
         if key in sections:
@@ -268,7 +271,7 @@ def default_grid(max_levels: int, full_depth: bool = False) -> list[GridEntry]:
 
 
 def _positive_number(value):
-    if type(value) not in (int, float) or not 0 < value < math.inf:
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
         raise ValueError(f"{value!r} is not a finite positive number")
 
 

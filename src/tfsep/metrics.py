@@ -48,12 +48,16 @@ def mse(s, s_hat) -> float:
 
 
 def snr(s, s_hat) -> float:
-    """10 log10(||s||^2 / ||s - s_hat||^2) in dB; +inf for identical inputs."""
+    """10 log10(||s||^2 / ||s - s_hat||^2) in dB; +inf for identical inputs
+    (silent ones too). Otherwise a silent reference raises MetricError."""
     s, s_hat = _as_pair(s, s_hat)
     err = float(np.sum((s - s_hat) ** 2))
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(float(np.sum(s ** 2)) / err)
+    energy = float(np.sum(s ** 2))
+    if energy == 0.0:
+        raise MetricError("snr reference must be non-zero")
+    return 10.0 * math.log10(energy / err)
 
 
 def si_sdr(s, s_hat) -> float:

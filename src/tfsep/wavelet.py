@@ -66,7 +66,11 @@ def cqf_highpass(h) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _bank(name: str) -> WaveletFilterBank:
+def lookup(name: str) -> WaveletFilterBank:
+    """Fetch a registered filter bank by name (e.g. "haar", "db4", "sym8")."""
+    if name not in SCALING_FILTERS:
+        raise ValueError(
+            f"unknown wavelet {name!r}; available: {', '.join(SCALING_FILTERS)}")
     rec_lo = np.array(SCALING_FILTERS[name])
     rec_hi = cqf_highpass(rec_lo)
     return WaveletFilterBank(
@@ -81,14 +85,6 @@ def _bank(name: str) -> WaveletFilterBank:
 
 def available_families() -> tuple[str, ...]:
     return tuple(SCALING_FILTERS)
-
-
-def lookup(name: str) -> WaveletFilterBank:
-    """Fetch a registered filter bank by name (e.g. "haar", "db4", "sym8")."""
-    if name not in SCALING_FILTERS:
-        raise ValueError(
-            f"unknown wavelet {name!r}; available: {', '.join(SCALING_FILTERS)}")
-    return _bank(name)
 
 
 @dataclass(frozen=True)

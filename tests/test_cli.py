@@ -10,8 +10,8 @@ import pytest
 
 import tfsep
 from tfsep import cli, harness
-from tfsep.cli import _config, build_parser, main
-from tfsep.harness import build_config, default_grid, load_wav, save_wav
+from tfsep.cli import main
+from tfsep.harness import build_config, default_grid, load_grid_file, load_wav, save_wav
 from tfsep.signal import Signal
 from tfsep.synth import speech_like
 
@@ -46,18 +46,47 @@ class TestDecompose:
 
 
 class TestStftMilliseconds:
-    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
-    def test_decompose_options_match_grid_rows(self, rate):
-        # a row labelled "W ms <window> window H ms hop" is `--win-ms W --hop-ms H`
-        for entry in default_grid(1):
-            if entry.decomposition != "stft":
-                continue
+    """A row labelled "W ms <window> window H ms hop" is `--win-ms W --hop-ms H`."""
+
+    class Captured(Exception):
+        pass
+
+    def _cli_configs(self, entries, rate, tmp_path, monkeypatch):
+        """The config `decompose` hands the transform for each row's label."""
+        def capture(sig, cfg):
+            raise self.Captured(cfg)
+
+        monkeypatch.setattr(cli, "decompose", capture)
+        wav = tmp_path / f"{rate}.wav"
+        save_wav(Signal(np.zeros(64), rate), wav)
+        configs = []
+        for entry in entries:
             win_ms, window, _, hop_ms, _ = entry.params.split()
-            args = build_parser().parse_args(
-                ["decompose", "--in", "x.wav", "--method", "stft", "--out", "x.csv",
-                 "--window", "rect" if window == "rectangular" else window,
-                 "--win-ms", win_ms[:-2], "--hop-ms", hop_ms[:-2]])
-            assert _config(args, rate) == build_config(entry, rate), entry.params
+            with pytest.raises(self.Captured) as got:
+                main(["decompose", "--in", str(wav), "--method", "stft", "--out", "x.csv",
+                      "--window", window, "--win-ms", win_ms[:-2], "--hop-ms", hop_ms[:-2]])
+            configs.append(got.value.args[0])
+        return configs
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 22050, 44100])
+    def test_decompose_options_match_grid_rows(self, rate, tmp_path, monkeypatch):
+        rows = [e for e in default_grid(1) if e.decomposition == "stft"]
+        configs = self._cli_configs(rows, rate, tmp_path, monkeypatch)
+        for entry, cfg in zip(rows, configs):
+            assert cfg == build_config(entry, rate), entry.params
+
+    @pytest.mark.parametrize("rate", [16000, 48000])
+    def test_labels_read_back_exactly(self, rate, tmp_path, monkeypatch):
+        # `:g` keeps 6 digits: 62.49999 would read "62.5" and a third of 10 ms "3.33333"
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"stft": {
+            "windows": ["hann"], "sizes_ms": [62.5, 62.49999, 10],
+            "hop_fractions": [0.5, 0.3333333333333333]}}))
+        rows = load_grid_file(path)
+        assert len({e.params for e in rows}) == len({e.config for e in rows}) == 6
+        configs = self._cli_configs(rows, rate, tmp_path, monkeypatch)
+        for entry, cfg in zip(rows, configs):
+            assert cfg == build_config(entry, rate), entry.params
 
 
 class TestImages:
@@ -153,11 +182,22 @@ class TestMetricsCommand:
         assert capsys.readouterr().err == (
             "tfsep: signals too short for STOI (need at least 384 ms)\n")
 
-    def test_length_mismatch_is_data_error(self, wav_file, tmp_path):
-        short = Signal(np.zeros(100), 16000)
-        save_wav(short, tmp_path / "short.wav")
+    @pytest.mark.parametrize("deg, message", [
+        (Signal(np.zeros(100), 16000), "length mismatch: 16000 vs 100"),
+        (Signal(np.zeros(16000), 8000), "rate mismatch: 16000 vs 8000")])
+    def test_mismatch_is_data_error(self, deg, message, wav_file, tmp_path, capsys):
+        save_wav(deg, tmp_path / "deg.wav")
         assert main(["metrics", "--ref", str(wav_file),
-                     "--deg", str(tmp_path / "short.wav")]) == 2
+                     "--deg", str(tmp_path / "deg.wav")]) == 2
+        assert capsys.readouterr() == ("", f"tfsep: {message}\n")
+
+    def test_silent_reference_snr(self, wav_file, tmp_path, capsys):
+        silent = tmp_path / "silent.wav"
+        save_wav(Signal(np.zeros(len(load_wav(wav_file))), 16000), silent)
+        assert main(["metrics", "--ref", str(silent), "--deg", str(wav_file), "--snr"]) == 2
+        assert capsys.readouterr() == ("", "tfsep: snr reference must be non-zero\n")
+        assert main(["metrics", "--ref", str(silent), "--deg", str(silent), "--snr"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"snr": "inf"}
 
 
 class TestMixCommand:
@@ -266,7 +306,13 @@ class TestGridFileChecks:
         ({"stft": {"windows": ["hamming"], "sizes_ms": [32], "hop_fractions": [0.5]}},
          "stft", "windows"),
         ({"wpt": {"families": ["db4"], "levels": [3], "mode": "periodic"}}, "wpt", "mode"),
-    ], ids=["missing-sizes", "windows-not-a-list", "sym88", "hamming", "periodic"])
+        ({"wavelet": {"families": ["db4"], "levels": [0]}}, "wavelet", "levels"),
+        ({"wpt": {"families": ["db4"], "levels": [1.5]}}, "wpt", "levels"),
+        ({"wavelet": {"families": ["db4"], "levels": [True]}}, "wavelet", "levels"),
+        ({"stft": {"windows": ["hann"], "sizes_ms": [10 ** 400], "hop_fractions": [0.5]}},
+         "stft", "sizes_ms"),
+    ], ids=["missing-sizes", "windows-not-a-list", "sym88", "hamming", "periodic",
+            "levels-0", "levels-1.5", "levels-true", "huge-integer-size"])
     def test_malformed_grid_exits_two_before_any_mixture(
             self, grid, section, key, small_corpus, tmp_path, monkeypatch, capsys):
         def no_mixtures(*args, **kwargs):
@@ -312,6 +358,35 @@ class TestUsageErrors:
             main([command, *required, "--out", str(tmp_path / "r.csv"), option, value])
         assert exc.value.code == 1
         assert option in capsys.readouterr().err
+
+
+class TestDemoCorpusScript:
+    SCRIPT = Path(__file__).parents[1] / "scripts" / "make_demo_corpus.py"
+
+    def _run(self, out, *argv):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(Path(tfsep.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
+        return subprocess.run([sys.executable, str(self.SCRIPT), "--out", str(out), *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("option, value", [
+        ("--duration", "-1"), ("--duration", "0"), ("--duration", "nan"),
+        ("--duration", "1e-5"), ("--duration", "1e308"), ("--rate", "0"), ("--rate", "249"),
+        ("--speakers", "0"), ("--recordings", "0"), ("--seed", "-1")])
+    def test_bad_values_are_usage_errors(self, option, value, tmp_path):
+        done = self._run(tmp_path / "corpus", option, value)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines()[-1].startswith(
+            f"make_demo_corpus.py: error: argument {option}: ")
+        assert not (tmp_path / "corpus").exists()
+
+    def test_smallest_corpus(self, tmp_path):
+        # one speaker, one 4 ms recording at 250 Hz: the fricative shaper's one tap
+        done = self._run(tmp_path / "corpus", "--speakers", "1", "--recordings", "1",
+                         "--rate", "250", "--duration", "0.004")
+        assert done.returncode == 0, done.stderr
+        assert len(load_wav(next((tmp_path / "corpus").glob("*/*.wav")))) == 1
 
 
 class TestBlasThreads:

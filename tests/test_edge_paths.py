@@ -121,7 +121,7 @@ class TestGridExtras:
 
     def test_sort_by_time_ascends(self, small_corpus):
         corpus = SpeakerCorpus.from_dir(small_corpus)
-        grid = [stft_entry("hann", 32.0, 0.5), wavelet_entry("dwt", "db4", 3)]
+        grid = [stft_entry("hann", 32.0, 16.0), wavelet_entry("dwt", "db4", 3)]
         report = grid_search(corpus, grid, n_mixtures=1, seed=1, sort_by="time_s")
         times = [row.time_s for row in report.rows]
         assert times == sorted(times)
@@ -129,7 +129,7 @@ class TestGridExtras:
     def test_unknown_sort_key_rejected(self, small_corpus):
         corpus = SpeakerCorpus.from_dir(small_corpus)
         with pytest.raises(ValueError):
-            grid_search(corpus, [stft_entry("hann", 32.0, 0.5)],
+            grid_search(corpus, [stft_entry("hann", 32.0, 16.0)],
                         n_mixtures=1, sort_by="loudness")
 
 

@@ -87,6 +87,19 @@ class TestWavIo:
             load_wav(path)
         assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
 
+    def test_ieee_float_wav_is_data_error(self, tmp_path):
+        # format tag 3: 32-bit IEEE float samples, which the wave module refuses
+        fmt = struct.pack("<HHIIHH", 3, 1, 8000, 8000 * 4, 4, 32)
+        data = np.zeros(100, dtype="<f4").tobytes()
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", len(data)) + data)
+        path = tmp_path / "float.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        with pytest.raises(DataError) as err:
+            load_wav(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert "not a readable WAV file (unknown format: 3)" in str(err.value)
+
 
 class TestCorpusAndMixtures:
     def test_corpus_discovery(self, small_corpus):
@@ -246,7 +259,7 @@ class TestGrids:
 
 def _small_grid():
     return [
-        stft_entry("hann", 32.0, 0.5),
+        stft_entry("hann", 32.0, 16.0),
         wavelet_entry("dwt", "db4", 3),
         wavelet_entry("wpt", "db4", 3),
     ]
@@ -264,7 +277,7 @@ class TestGridSearch:
 
     def test_invalid_configuration_marks_row_failed(self, small_corpus):
         corpus = SpeakerCorpus.from_dir(small_corpus)
-        grid = [wavelet_entry("dwt", "db4", 28), stft_entry("hann", 32.0, 0.5)]
+        grid = [wavelet_entry("dwt", "db4", 28), stft_entry("hann", 32.0, 16.0)]
         report = grid_search(corpus, grid, n_mixtures=1, seed=3)
         failed = [row for row in report.rows if row.status != "ok"]
         assert len(failed) == 1
@@ -276,7 +289,7 @@ class TestGridSearch:
     def test_unbounded_stft_row_fails(self, small_corpus, size_ms):
         # 1e308 ms is an infinite sample count, 1e9 ms a 119 GiB window
         corpus = SpeakerCorpus.from_dir(small_corpus)
-        grid = [stft_entry("hann", size_ms, 0.5), stft_entry("hann", 32.0, 0.5)]
+        grid = [stft_entry("hann", size_ms, size_ms / 2), stft_entry("hann", 32.0, 16.0)]
         report = grid_search(corpus, grid, n_mixtures=1, seed=3)
         assert report.rows[0].status == "ok"
         assert report.rows[1].status.startswith("failed: ")
@@ -339,7 +352,7 @@ class TestGridSearch:
             return run_ibm_trial(mix, cfg)
 
         monkeypatch.setattr(harness, "run_ibm_trial", spy)
-        entry = stft_entry("hann", 32.0, 0.5)
+        entry = stft_entry("hann", 32.0, 16.0)
         report = grid_search(SpeakerCorpus.from_dir(tmp_path), [entry],
                              n_mixtures=2, seed=2)
         assert report.rows[0].status == "ok"
@@ -356,7 +369,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(harness, "run_ibm_trial", one_stoi_missing)
         report = grid_search(SpeakerCorpus.from_dir(small_corpus),
-                             [stft_entry("hann", 32.0, 0.5)], n_mixtures=4, seed=3)
+                             [stft_entry("hann", 32.0, 16.0)], n_mixtures=4, seed=3)
         (row,) = report.rows
         assert len(calls) == 4 and row.n_mixtures == 4 and row.status == "ok"
         assert row.stoi is None
@@ -365,7 +378,7 @@ class TestGridSearch:
     def test_best_stft_window_is_wide(self, small_corpus):
         # larger Hann windows resolve overlapping voices better
         corpus = SpeakerCorpus.from_dir(small_corpus)
-        grid = [stft_entry("hann", ms, 0.5)
+        grid = [stft_entry("hann", ms, ms / 2)
                 for ms in (5.0, 10.0, 16.0, 32.0, 50.0, 100.0)]
         report = grid_search(corpus, grid, n_mixtures=6, seed=17)
         best = report.rows[0].params
@@ -392,7 +405,7 @@ class TestMean:
 class TestEmitReport:
     def _one_row_report(self, small_corpus):
         corpus = SpeakerCorpus.from_dir(small_corpus)
-        return grid_search(corpus, [stft_entry("hann", 32.0, 0.5)],
+        return grid_search(corpus, [stft_entry("hann", 32.0, 16.0)],
                            n_mixtures=1, seed=5)
 
     def test_csv_roundtrip(self, small_corpus, tmp_path):
