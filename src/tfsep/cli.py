@@ -176,6 +176,9 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():  # found now, not after the whole grid
+        raise DataError(f"cannot write the report to {out}: not a file in an existing directory")
     corpus = SpeakerCorpus.from_dir(args.corpus)
     corpus.check_speakers(args.speakers)  # before any WAV is decoded
     if args.grid == "default":

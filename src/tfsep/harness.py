@@ -13,7 +13,7 @@ import os
 import sys
 import wave
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial, reduce
 from pathlib import Path
 from time import perf_counter
@@ -67,7 +67,8 @@ def load_wav(path) -> Signal:
 def save_wav(s: Signal, path) -> None:
     """Write a Signal as mono 16-bit PCM; samples are clipped to [-1, 1]."""
     pcm = np.clip(np.round(s.samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as fh:
+    # opened here, so a bad path is one OSError and leaves no half-built wave writer
+    with open(path, "wb") as raw, wave.open(raw, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
         fh.setframerate(s.rate)
@@ -410,8 +411,7 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
         outcomes = [trials(map, s) for s in mixture_seeds]
 
     rows = []
-    for ci, entry in enumerate(grid):
-        results = [per_mixture[ci] for per_mixture in outcomes]
+    for entry, results in zip(grid, zip(*outcomes)):
         errors = [r for r in results if isinstance(r, Exception)]
         if errors:
             # keep the CSV comma-free
@@ -420,8 +420,7 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
                                   None, None, None, n_mixtures,
                                   f"failed: {reason}"))
             continue
-        means = (_mean([getattr(r, name) for r in results])
-                 for name in ("stoi", "si_sdr", "snr", "mse", "decomposition_time"))
+        means = (_mean([getattr(r, f.name) for r in results]) for f in fields(MetricScores))
         rows.append(ReportRow(entry.decomposition, entry.params, *means, n_mixtures, "ok"))
 
     def sort_key(row: ReportRow):
@@ -434,8 +433,7 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
     return ExperimentReport(tuple(rows))
 
 
-_REPORT_COLUMNS = ("decomposition", "params", "stoi", "si_sdr", "snr", "mse",
-                   "time_s", "n_mixtures", "status")
+_REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def json_value(value):

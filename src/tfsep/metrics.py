@@ -105,35 +105,15 @@ def _stoi_band_matrix() -> np.ndarray:
     return ((freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])).astype(float)
 
 
-def _stoi_segments(sig: Signal, keep=None):
-    """The 30-frame envelope segments (segments x bands x 30) of sig at
-    10 kHz, over the frames `keep` selects, and `keep`. Without `keep`, sig
-    is the clean signal: it must be long enough and not silent, and its
-    frames within 40 dB of its loudest frame are kept."""
-    x = resample(sig, _STOI_RATE).samples
-    if keep is None and x.size < _STOI_WIN:
-        raise MetricError("signals too short for STOI (need at least 384 ms)")
-    if keep is None and not np.any(x):
-        raise MetricError("clean signal is silent")
-    frames = _frame(x, _STOI_WIN, _STOI_HOP)
-    window = make_window(WindowKind.HANN, _STOI_WIN)
-    if keep is None:
-        frames = frames * window
-        energy = np.sum(frames ** 2, axis=1)
-        keep = energy > energy.max() * 10.0 ** (-_STOI_SILENCE_DB / 10.0)
-        if np.count_nonzero(keep) < _STOI_FRAMES:
-            raise MetricError(
-                f"fewer than {_STOI_FRAMES} frames remain after silent-frame removal")
-        frames = frames[keep]
-    else:
-        frames = frames[keep]
-        frames *= window
+def _stoi_segments(frames: np.ndarray) -> np.ndarray:
+    """The 30-frame envelope segments (segments x bands x 30) of Hann-windowed
+    10 kHz frames."""
     spec = np.abs(_fft_core(frames, -1.0)[:, :_STOI_WIN // 2 + 1])
     envelopes = np.sqrt(_stoi_band_matrix() @ (spec.T ** 2))   # (bands x frames)
     # a contiguous copy, so each 30-frame reduction adds in the same order as
     # over a slice of the envelopes
     windows = np.lib.stride_tricks.sliding_window_view(envelopes.T, _STOI_FRAMES, axis=0)
-    return windows.copy(), keep
+    return windows.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +138,20 @@ def stoi_reference(s, rate: int) -> StoiReference:
     raises for this clean signal: ValueError for no samples, or samples or a
     rate no Signal holds, MetricError for a signal too short or silent."""
     clean = Signal(_as_pair(s, s)[0], rate)   # stoi's own input checks come first
-    x, keep = _stoi_segments(clean)
+    x = resample(clean, _STOI_RATE).samples
+    if x.size < _STOI_WIN:
+        raise MetricError("signals too short for STOI (need at least 384 ms)")
+    if not np.any(x):
+        raise MetricError("clean signal is silent")
+    frames = _frame(x, _STOI_WIN, _STOI_HOP) * make_window(WindowKind.HANN, _STOI_WIN)
+    energy = np.sum(frames ** 2, axis=1)
+    keep = energy > energy.max() * 10.0 ** (-_STOI_SILENCE_DB / 10.0)
+    if np.count_nonzero(keep) < _STOI_FRAMES:
+        raise MetricError(
+            f"fewer than {_STOI_FRAMES} frames remain after silent-frame removal")
+    frames = frames[keep]         # the full frame matrix is freed before the transform
+    x = _stoi_segments(frames)
+    del frames, energy            # and no frame-sized array outlives it
     centred = x - x.mean(axis=-1, keepdims=True)
     return StoiReference(clean.rate, len(clean), keep,
                          np.linalg.norm(x, axis=-1, keepdims=True), _STOI_CLIP_GAIN * x,
@@ -183,7 +176,9 @@ def stoi(s, s_hat, rate: int, reference: StoiReference | None = None) -> float:
     elif (reference.rate, reference.size) != (clean.rate, len(clean)):
         raise ValueError(f"STOI reference is for {reference.size} samples at {reference.rate} Hz,"
                          f" not {len(clean)} at {clean.rate} Hz")
-    y, _ = _stoi_segments(degraded, reference.keep)
+    y = _frame(resample(degraded, _STOI_RATE).samples, _STOI_WIN, _STOI_HOP)[reference.keep]
+    y *= make_window(WindowKind.HANN, _STOI_WIN)
+    y = _stoi_segments(y)                       # which frees the frames
     # in place, so that no more than four segment arrays are alive at once
     norm_y = np.linalg.norm(y, axis=-1, keepdims=True)
     y *= reference.norms / np.where(norm_y == 0.0, 1.0, norm_y)

@@ -57,12 +57,9 @@ def qmf_highpass(h) -> np.ndarray:
 
 
 def cqf_highpass(h) -> np.ndarray:
-    """Conjugate quadrature construction g[i] = (-1)^i h[N-i] (order reversal
-    plus sign alternation)."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.size == 0:
-        raise ValueError("empty filter")
-    return h[::-1] * (-1.0) ** np.arange(h.size)
+    """Conjugate quadrature construction g[i] = (-1)^i h[N-i]: the quadrature
+    mirror of the reversed filter."""
+    return qmf_highpass(np.asarray(h, dtype=np.float64)[::-1])
 
 
 @lru_cache(maxsize=None)
@@ -105,9 +102,8 @@ def verify_pr(bank: WaveletFilterBank, tol: float = 1e-8) -> PrCheck:
     if tol <= 0:
         raise ValueError("tol must be positive")
     p1 = np.convolve(bank.dec_lo, bank.rec_lo) + np.convolve(bank.dec_hi, bank.rec_hi)
-    alt_lo = bank.dec_lo * (-1.0) ** np.arange(len(bank))
-    alt_hi = bank.dec_hi * (-1.0) ** np.arange(len(bank))
-    p2 = np.convolve(alt_lo, bank.rec_lo) + np.convolve(alt_hi, bank.rec_hi)
+    p2 = (np.convolve(qmf_highpass(bank.dec_lo), bank.rec_lo)
+          + np.convolve(qmf_highpass(bank.dec_hi), bank.rec_hi))
     alias_error = float(np.max(np.abs(p2)))
 
     delay = int(np.argmax(np.abs(p1)))
@@ -154,6 +150,12 @@ def _in_tap_order(taps: np.ndarray) -> np.ndarray:
     return taps[::-1].copy()[::-1]
 
 
+def _check_mode(mode: PadMode) -> None:
+    """Both kernels implement periodization, zero and symmetric extension."""
+    if mode not in (PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC):
+        raise ValueError(f"unsupported boundary mode {mode!r}")
+
+
 def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank,
                    mode: PadMode) -> tuple[np.ndarray, np.ndarray]:
     """One filter-bank step applied to every row of `bands`."""
@@ -161,17 +163,16 @@ def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank,
     n = bands.shape[1]
     if n == 0:
         raise ValueError("cannot decompose a zero-length band")
+    _check_mode(mode)
     if mode == PadMode.PERIODIZATION:
         if n % 2:  # odd bands get one zero sample
             bands = np.pad(bands, [(0, 0), (0, 1)])
         ext = np.pad(bands, [(0, 0), (0, k - 1)], mode="wrap")
         phase, out_len = 0, bands.shape[1] // 2
-    elif mode in (PadMode.ZERO, PadMode.SYMMETRIC):
+    else:
         pad_kw = {} if mode == PadMode.ZERO else {"mode": "symmetric"}
         ext = np.pad(bands, [(0, 0), (k - 1, k - 1)], **pad_kw)
         phase, out_len = 1, (n + k - 1) // 2
-    else:
-        raise ValueError(f"unsupported boundary mode {mode!r}")
     # correlation with the synthesis filters == convolution with dec_lo/dec_hi
     windows = sliding_window_view(ext, k, axis=1)[:, phase::2][:, :out_len]
     return windows @ _in_tap_order(bank.rec_lo), windows @ _in_tap_order(bank.rec_hi)
@@ -184,6 +185,7 @@ def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
     rows, m = lo.shape
     if m == 0:
         raise ValueError("cannot reconstruct from zero-length bands")
+    _check_mode(mode)
     # hi[0], lo[0], hi[1], lo[1], ... between k - 2 zeros in front and k behind,
     # read backwards: window j holds lo[j], hi[j], lo[j-1], hi[j-1], ..., every
     # term of outputs 2j and 2j+1 in the order the taps meet them
@@ -293,15 +295,14 @@ def wavedec(s: Signal, bank: WaveletFilterBank, levels: int,
     return TFRepresentation(flat, DwtConfig(bank.name, levels, mode), s.rate, n)
 
 
-def dwt_bands(tf: TFRepresentation, bank: WaveletFilterBank | None = None) -> list[np.ndarray]:
+def dwt_bands(tf: TFRepresentation) -> list[np.ndarray]:
     """Split a wavedec vector into its bands [approx, detail_L, ..., detail_1]
-    (views, not copies). `bank` defaults to the registered bank the config
-    names."""
+    (views, not copies), with the band lengths of the registered bank the
+    config names."""
     cfg = tf.config
     if not isinstance(cfg, DwtConfig):
         raise ValueError(f"expected a DWT representation, got config {cfg!r}")
-    taps = len(bank if bank is not None else lookup(cfg.wavelet))
-    chain = _length_chain(tf.original_len, taps, cfg.levels, cfg.mode)
+    chain = _length_chain(tf.original_len, len(lookup(cfg.wavelet)), cfg.levels, cfg.mode)
     sizes = [chain[-1], *chain[:0:-1]]
     if tf.coeffs.shape != (sum(sizes),):
         raise ValueError(f"expected {sum(sizes)} DWT coefficients, got shape {tf.coeffs.shape}")
@@ -316,7 +317,7 @@ def _check_bank(tf: TFRepresentation, bank: WaveletFilterBank, kind: type) -> No
 def waverec(tf: TFRepresentation, bank: WaveletFilterBank) -> Signal:
     """Invert wavedec and trim to the original length."""
     _check_bank(tf, bank, DwtConfig)
-    approx, *details = dwt_bands(tf, bank)
+    approx, *details = dwt_bands(tf)
     # each level's output is as long as the next finer detail band
     out_lens = [d.size for d in details[1:]] + [tf.original_len]
     approx = approx[np.newaxis]

@@ -44,6 +44,14 @@ class TestDecompose:
                      "--method", "stft", "--out", str(tmp_path / "o.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("option, value", [("--win-ms", "0.05"), ("--hop-ms", "0.01")])
+    def test_too_small_window_is_data_error(self, option, value, wav_file, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["decompose", "--in", str(wav_file), "--method", "stft",
+                     option, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("tfsep: window/hop too small: ")
+        assert not out.exists()
+
 
 class TestStftMilliseconds:
     """A row labelled "W ms <window> window H ms hop" is `--win-ms W --hop-ms H`."""
@@ -214,6 +222,18 @@ class TestMixCommand:
         # 16-bit quantization of mixture vs sum of quantized sources
         assert np.max(np.abs(mix.samples - total)) <= 3.0 / 32768
 
+    def test_unwritable_out_is_one_error_line(self, small_corpus, tmp_path):
+        # a subprocess: a half-built wave writer reports its failure when it is
+        # collected, which can be after main has returned
+        out = tmp_path / "missing" / "dir" / "m.wav"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(Path(tfsep.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-m", "tfsep.cli", "mix", "--corpus",
+                               str(small_corpus), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stderr == f"tfsep: [Errno 2] No such file or directory: '{out}'\n"
+
 
 class TestExperimentCommand:
     def _grid_file(self, tmp_path):
@@ -295,6 +315,27 @@ class TestExperimentCommand:
         assert main(args) == 0
         # the depth scan reads every WAV; the mixture decodes its own again
         assert set(decoded) == set(corpus.glob("*/*.wav"))
+
+    @pytest.mark.parametrize("out", ["missing/r.csv", "."], ids=["no-directory", "a-directory"])
+    def test_bad_out_rejected_before_any_wav_is_decoded(
+            self, small_corpus, tmp_path, monkeypatch, capsys, out):
+        decoded = []
+
+        def counting_load_wav(path):
+            decoded.append(path)
+            return load_wav(path)
+
+        monkeypatch.setattr(harness, "load_wav", counting_load_wav)
+        monkeypatch.setattr(cli, "load_wav", counting_load_wav)
+        before = sorted(tmp_path.rglob("*"))
+        for grid in ("default", str(self._grid_file(tmp_path))):
+            assert main(["experiment", "--corpus", str(small_corpus), "--mixtures", "1",
+                         "--grid", grid, "--out", str(tmp_path / out)]) == 2
+            err = capsys.readouterr().err
+            assert err.splitlines() == [err.rstrip("\n")]
+            assert err.startswith(f"tfsep: cannot write the report to {tmp_path / out}: ")
+        assert decoded == []
+        assert sorted(tmp_path.rglob("*")) == [*before, tmp_path / "grid.json"]
 
 
 class TestGridFileChecks:

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfsep.fourier import StftConfig, WindowKind, istft, stft
-from tfsep.harness import (SpeakerCorpus, grid_search, load_grid_file,
-                           stft_entry, wavelet_entry)
+from tfsep.fourier import StftConfig, WindowKind, istft, make_window, stft, stft_frequencies
+from tfsep.harness import (ExperimentReport, ReportRow, SpeakerCorpus, emit_report,
+                           grid_search, load_grid_file, stft_entry, wavelet_entry)
 from tfsep.masking import (DwtConfig, WptConfig, apply_mask, decompose,
                            ideal_binary_mask, reconstruct)
-from tfsep.signal import PadMode, Signal, resample
-from tfsep.wavelet import dwt_bands, idwt_step, iwpt, lookup, wavedec, waverec, wpt
+from tfsep.signal import PadMode, Signal, convolve, pad, resample
+from tfsep.wavelet import (count_vanishing_moments, cwt_ricker, dwt_bands, dwt_step,
+                           idwt_step, iwpt, lookup, ricker_kernel, wavedec, waverec, wpt)
 
 
 class TestResampleCoprimeRatios:
@@ -70,7 +71,56 @@ class TestBoundaryModesThroughMasking:
         assert np.all(np.isfinite(est.samples))
 
 
+def _noise(n=64):
+    return Signal(np.random.default_rng(n).normal(size=n), 8000)
+
+
+def _as_periodic(tf):
+    """tf with its config's mode set to PERIODIC, which no wavelet transform makes."""
+    return dataclasses.replace(tf, config=dataclasses.replace(tf.config, mode=PadMode.PERIODIC))
+
+
 class TestMalformedInputs:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: StftConfig(WindowKind.HANN, 512, 256, 768), ValueError,
+         "fft_size must be a power of two, got 768"),
+        (lambda: stft_frequencies(500, 16000), ValueError, "power of two, got 500"),
+        (lambda: make_window("hann", 8), ValueError, "unknown window kind 'hann'"),
+        (lambda: Signal(np.zeros((2, 4)), 8000), ValueError, "one-dimensional"),
+        (lambda: convolve([1.0], [1.0], "valid"), ValueError, "unknown convolution mode"),
+        (lambda: pad([1.0], 3, "reflect"), ValueError, "unknown pad mode"),
+        (lambda: count_vanishing_moments(lookup("haar"), tol=0), ValueError, "tol must be"),
+        (lambda: dwt_step(np.zeros(8), lookup("haar"), PadMode.PERIODIC), ValueError,
+         "unsupported boundary mode"),
+        (lambda: dwt_step(np.zeros((2, 8)), lookup("haar")), ValueError, "1-D signal"),
+        (lambda: idwt_step(np.ones(4), np.ones(4), lookup("haar"), PadMode.PERIODIC),
+         ValueError, "unsupported boundary mode"),
+        (lambda: waverec(_as_periodic(wavedec(_noise(), lookup("haar"), 2)), lookup("haar")),
+         ValueError, "unsupported boundary mode"),
+        (lambda: iwpt(_as_periodic(wpt(_noise(), lookup("db2"), 2)), lookup("db2")),
+         ValueError, "unsupported boundary mode"),
+        (lambda: dwt_bands(wpt(_noise(), lookup("haar"), 2)), ValueError,
+         "expected a DWT representation"),
+        (lambda: wpt(_noise(), lookup("haar"), 0), ValueError, r"levels must be in \[1, 6\]"),
+        (lambda: wpt(_noise(), lookup("haar"), 7), ValueError, r"levels must be in \[1, 6\]"),
+        (lambda: ricker_kernel(0), ValueError, "scale must be positive"),
+        (lambda: cwt_ricker(_noise(), []), ValueError, "need at least one scale"),
+        (lambda: decompose(_noise(), "stft"), TypeError, "unknown decomposition config"),
+        (lambda: reconstruct(dataclasses.replace(wavedec(_noise(), lookup("haar"), 1),
+                                                 config=None)),
+         TypeError, "unknown decomposition config"),
+        (lambda: emit_report(ExperimentReport((ReportRow("stft", "x", 1.0, 0.0, 0.0, 0.0, 0.1,
+                                                         1, "ok"),)), "xml", "never.xml"),
+         ValueError, "unknown report format 'xml'"),
+    ], ids=["stft-config-fft-size", "stft-frequencies-size", "window-kind", "signal-2d",
+            "convolve-mode", "pad-mode", "moments-tol", "dwt-step-periodic", "dwt-step-2d",
+            "idwt-step-periodic", "waverec-periodic", "iwpt-periodic", "dwt-bands-of-wpt",
+            "wpt-no-levels", "wpt-too-many-levels", "ricker-scale", "cwt-no-scales",
+            "decompose-non-config", "reconstruct-non-config", "report-format"])
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
     def test_istft_rejects_wrong_row_count(self, rng):
         cfg = StftConfig(WindowKind.HANN, 64, 32, 64)
         m = stft(Signal(rng.normal(size=500), 8000), cfg)

@@ -285,14 +285,18 @@ class TestGridSearch:
         assert "levels" in failed[0].status
         assert report.rows[0].status == "ok"
 
-    @pytest.mark.parametrize("size_ms", [1e308, 1e9])
-    def test_unbounded_stft_row_fails(self, small_corpus, size_ms):
-        # 1e308 ms is an infinite sample count, 1e9 ms a 119 GiB window
+    @pytest.mark.parametrize("size_ms, reason", [
+        (1e308, "window/hop not finite"), (1e9, "STFT too large"),
+        (0.05, "window/hop too small: 0.05 ms / 0.025 ms at 16000 Hz")],
+        ids=["1e+308", "1000000000.0", "0.05"])
+    def test_unbounded_stft_row_fails(self, small_corpus, size_ms, reason):
+        # 1e308 ms is an infinite sample count, 1e9 ms a 119 GiB window, 0.05 ms
+        # under two samples
         corpus = SpeakerCorpus.from_dir(small_corpus)
         grid = [stft_entry("hann", size_ms, size_ms / 2), stft_entry("hann", 32.0, 16.0)]
         report = grid_search(corpus, grid, n_mixtures=1, seed=3)
         assert report.rows[0].status == "ok"
-        assert report.rows[1].status.startswith("failed: ")
+        assert report.rows[1].status.startswith(f"failed: {reason}")
 
     def test_threads_bounded_by_the_cpus(self, small_corpus, monkeypatch):
         pools = []

@@ -156,6 +156,10 @@ class TestResample:
         with pytest.raises(ValueError):
             resample(Signal(np.zeros(10), 8000), 0)
 
+    def test_empty_signal_stays_empty(self):
+        out = resample(Signal(np.zeros(0), 8000), 10000)
+        assert out.rate == 10000 and len(out) == 0
+
     def test_memory_does_not_follow_the_input_rate(self):
         # the padded input must not grow with the decimation factor (here
         # 2,000,003), or a huge header rate asks for gigabytes

@@ -64,6 +64,8 @@ class TestQmfCqf:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             qmf_highpass([])
+        with pytest.raises(ValueError, match="empty filter"):
+            cqf_highpass([])
 
 
 class TestPerfectReconstruction:
