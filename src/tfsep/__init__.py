@@ -2,15 +2,6 @@
 time-frequency masking, speech-intelligibility metrics, and the
 speaker-isolation benchmark harness."""
 
-import os
-
-# One BLAS thread per process unless the user chose otherwise: `experiment`
-# parallelizes over trials itself, and BLAS threads would contend with its
-# workers. The variables are read when numpy loads, so this must run first.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-del _var
-
 from .signal import (PadMode, Signal, TFRepresentation, convolve, dot, downsample2,
                      l2_norm, pad, resample, upsample2)
 from .fourier import (StftConfig, WindowKind, export_heatmap, fft, ifft, istft,

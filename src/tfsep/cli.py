@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: decompose, spectrogram, scaleogram, metrics, mix, experiment.
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error, 130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
@@ -210,6 +210,9 @@ def main(argv=None) -> int:
     except (DataError, ValueError, OSError) as exc:   # MetricError is a ValueError
         print(f"tfsep: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("tfsep: interrupted; no report written", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

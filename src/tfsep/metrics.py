@@ -69,12 +69,12 @@ def si_sdr(s, s_hat) -> float:
     orthogonal to s (alpha = 0).
     """
     s, s_hat = _as_pair(s, s_hat)
-    # same reduction for numerator and denominator so alpha is exactly 1.0
-    # (and the +inf sentinel fires) when s_hat is s
-    energy = float(np.dot(s, s))
+    # one fixed-order sum (numpy's, not np.dot's BLAS) for numerator and denominator,
+    # so alpha is exactly 1.0 (and the +inf sentinel fires) when s_hat is s
+    energy = float(np.sum(s * s))
     if energy == 0.0:
         raise ValueError("si_sdr reference must be non-zero")
-    alpha = float(np.dot(s, s_hat)) / energy
+    alpha = float(np.sum(s * s_hat)) / energy
     if alpha == 0.0:
         return -math.inf
     target = alpha * s
@@ -95,24 +95,26 @@ _STOI_CLIP_GAIN = 1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)
 _STOI_SILENCE_DB = 40.0
 
 
-def _stoi_band_matrix() -> np.ndarray:
-    """(bands x bins) membership matrix: DFT bins grouped into one-third-octave
-    bands by center-frequency containment."""
+def _stoi_band_edges() -> np.ndarray:
+    """One-third-octave band b holds DFT bins edges[b] to edges[b + 1] - 1: the
+    bins it contains by center frequency, lo_b <= f < hi_b, as hi_b = lo_(b+1)."""
     freqs = stft_frequencies(_STOI_WIN, _STOI_RATE)
     centers = _STOI_LOWEST_CENTER * 2.0 ** (np.arange(_STOI_BANDS) / 3.0)
-    lo = centers * 2.0 ** (-1.0 / 6.0)
-    hi = centers * 2.0 ** (1.0 / 6.0)
-    return ((freqs[None, :] >= lo[:, None]) & (freqs[None, :] < hi[:, None])).astype(float)
+    return np.searchsorted(freqs, np.append(centers * 2.0 ** (-1.0 / 6.0),
+                                            centers[-1] * 2.0 ** (1.0 / 6.0)))
 
 
 def _stoi_segments(frames: np.ndarray) -> np.ndarray:
     """The 30-frame envelope segments (segments x bands x 30) of Hann-windowed
     10 kHz frames."""
-    spec = np.abs(_fft_core(frames, -1.0)[:, :_STOI_WIN // 2 + 1])
-    envelopes = np.sqrt(_stoi_band_matrix() @ (spec.T ** 2))   # (bands x frames)
+    edges = _stoi_band_edges()
+    spec = np.abs(_fft_core(frames, -1.0)[:, edges[0]:edges[-1]])
+    # numpy's own loop adds each band in a fixed order; a band-matrix product
+    # would leave the order to whichever BLAS kernel the CPU selects
+    envelopes = np.sqrt(np.add.reduceat(spec ** 2, edges[:-1] - edges[0], axis=1))
     # a contiguous copy, so each 30-frame reduction adds in the same order as
-    # over a slice of the envelopes
-    windows = np.lib.stride_tricks.sliding_window_view(envelopes.T, _STOI_FRAMES, axis=0)
+    # over a slice of the envelopes (frames x bands)
+    windows = np.lib.stride_tricks.sliding_window_view(envelopes, _STOI_FRAMES, axis=0)
     return windows.copy()
 
 

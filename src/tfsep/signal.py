@@ -131,7 +131,7 @@ def pad(x, target_len: int, mode: PadMode = PadMode.ZERO) -> np.ndarray:
 
 def l2_norm(x) -> float:
     """Euclidean norm sqrt(sum x[t]^2)."""
-    return float(np.linalg.norm(np.asarray(x, dtype=np.float64)))
+    return float(np.sqrt(np.sum(np.asarray(x, dtype=np.float64) ** 2)))
 
 
 def dot(x, y) -> float:
@@ -140,7 +140,15 @@ def dot(x, y) -> float:
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size:
         raise ValueError(f"dot requires equal lengths, got {x.size} and {y.size}")
-    return float(np.dot(x, y))
+    return float(np.sum(x * y))
+
+
+def _in_tap_order(taps: np.ndarray) -> np.ndarray:
+    """`taps` behind a negative stride. numpy's matmul then takes its own loop,
+    which adds the products in tap order, rather than BLAS, whose order
+    depends on the CPU's kernel and whose fused multiply-adds would leave
+    residues where the per-tap sums are exact."""
+    return taps[::-1].copy()[::-1]
 
 
 _SINC_HALF = 32  # 64-tap kernel per output sample
@@ -182,5 +190,5 @@ def resample(s: Signal, to_rate: int) -> Signal:
         kern = 2.0 * cutoff * np.sinc(2.0 * cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / half))
         kern /= kern.sum()
         count = len(range(phase, n_out, up))
-        out[phase::up] = windows[base + 1::down][:count] @ kern
+        out[phase::up] = windows[base + 1::down][:count] @ _in_tap_order(kern)
     return Signal(out, to_rate)

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._filter_tables import SCALING_FILTERS, WAVELET_MOMENTS
-from .signal import PadMode, Signal, TFRepresentation, convolve
+from .signal import PadMode, Signal, TFRepresentation, _in_tap_order, convolve
 
 
 @dataclass(frozen=True)
@@ -142,13 +142,6 @@ def count_vanishing_moments(bank: WaveletFilterBank, max_p: int | None = None,
 
 # ---------------------------------------------------------------------------
 # analysis / synthesis kernels over stacks of bands
-
-def _in_tap_order(taps: np.ndarray) -> np.ndarray:
-    """`taps` behind a negative stride. numpy's matmul then takes its own loop,
-    which adds the products in tap order, rather than BLAS, whose fused
-    multiply-adds would leave residues where the per-tap sums are exact."""
-    return taps[::-1].copy()[::-1]
-
 
 def _check_mode(mode: PadMode) -> None:
     """Both kernels implement periodization, zero and symmetric extension."""

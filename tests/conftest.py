@@ -1,7 +1,12 @@
-# first, so that its one-BLAS-thread default applies before numpy loads
-import tfsep  # noqa: F401
+import os
 
-import numpy as np
+# One BLAS thread for the oracles' numpy and scipy calls unless the run sets
+# its own: BLAS threads would compete with the wall-clock gates. BLAS reads
+# these when numpy loads, so they are set before anything imports it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import HealthCheck, settings
 

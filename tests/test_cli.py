@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import struct
@@ -11,9 +12,17 @@ import pytest
 import tfsep
 from tfsep import cli, harness
 from tfsep.cli import main
-from tfsep.harness import build_config, default_grid, load_grid_file, load_wav, save_wav
+from tfsep.harness import (build_config, default_grid, load_grid_file, load_wav, run_ibm_trial,
+                           save_wav)
 from tfsep.signal import Signal
-from tfsep.synth import speech_like
+from tfsep.synth import make_corpus, speech_like
+
+
+def _child_env() -> dict:
+    """os.environ, with the directory this tfsep was imported from first on
+    PYTHONPATH, for a child Python process."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(tfsep.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
 
 
 @pytest.fixture(scope="module")
@@ -226,28 +235,28 @@ class TestMixCommand:
         # a subprocess: a half-built wave writer reports its failure when it is
         # collected, which can be after main has returned
         out = tmp_path / "missing" / "dir" / "m.wav"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(Path(tfsep.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
         done = subprocess.run([sys.executable, "-m", "tfsep.cli", "mix", "--corpus",
                                str(small_corpus), "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=_child_env(), capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert done.stderr == f"tfsep: [Errno 2] No such file or directory: '{out}'\n"
 
 
-class TestExperimentCommand:
-    def _grid_file(self, tmp_path):
-        grid = {
-            "stft": {"windows": ["hann"], "sizes_ms": [32], "hop_fractions": [0.5]},
-            "wavelet": {"families": ["db4"], "levels": [3]},
-            "wpt": {"families": ["db4"], "levels": [3]},
-        }
-        path = tmp_path / "grid.json"
-        path.write_text(json.dumps(grid))
-        return path
+def _grid_file(tmp_path):
+    """A grid file of one STFT, one DWT and one WPT row."""
+    grid = {
+        "stft": {"windows": ["hann"], "sizes_ms": [32], "hop_fractions": [0.5]},
+        "wavelet": {"families": ["db4"], "levels": [3]},
+        "wpt": {"families": ["db4"], "levels": [3]},
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    return path
 
+
+class TestExperimentCommand:
     def test_runs_and_is_deterministic(self, small_corpus, tmp_path):
-        grid = self._grid_file(tmp_path)
+        grid = _grid_file(tmp_path)
         outputs = []
         for i, jobs in enumerate(("1", "4")):
             out = tmp_path / f"report{i}.csv"
@@ -263,13 +272,34 @@ class TestExperimentCommand:
         assert drop_time(outputs[0]) == drop_time(outputs[1])
 
     def test_json_format(self, small_corpus, tmp_path):
-        grid = self._grid_file(tmp_path)
+        grid = _grid_file(tmp_path)
         out = tmp_path / "report.json"
         assert main(["experiment", "--corpus", str(small_corpus), "--mixtures", "1",
                      "--seed", "2", "--grid", str(grid), "--out", str(out),
                      "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert len(payload) == 3
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_interrupt_is_one_line_and_no_report(self, small_corpus, tmp_path, monkeypatch,
+                                                 capsys, jobs):
+        calls = itertools.count(1)
+
+        def interrupted_at_the_fifth(mix, cfg):
+            if next(calls) == 5:
+                raise KeyboardInterrupt
+            return run_ibm_trial(mix, cfg)
+
+        monkeypatch.setattr(harness, "run_ibm_trial", interrupted_at_the_fifth)
+        out = tmp_path / "r.csv"
+        try:
+            code = main(["experiment", "--corpus", str(small_corpus), "--mixtures", "3",
+                         "--grid", str(_grid_file(tmp_path)), "--out", str(out), "--jobs", jobs])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr().err == "tfsep: interrupted; no report written\n"
+        assert not out.exists()
 
     def test_bad_corpus_is_data_error(self, tmp_path):
         assert main(["experiment", "--corpus", str(tmp_path / "none"),
@@ -328,7 +358,7 @@ class TestExperimentCommand:
         monkeypatch.setattr(harness, "load_wav", counting_load_wav)
         monkeypatch.setattr(cli, "load_wav", counting_load_wav)
         before = sorted(tmp_path.rglob("*"))
-        for grid in ("default", str(self._grid_file(tmp_path))):
+        for grid in ("default", str(_grid_file(tmp_path))):
             assert main(["experiment", "--corpus", str(small_corpus), "--mixtures", "1",
                          "--grid", grid, "--out", str(tmp_path / out)]) == 2
             err = capsys.readouterr().err
@@ -405,10 +435,8 @@ class TestDemoCorpusScript:
     SCRIPT = Path(__file__).parents[1] / "scripts" / "make_demo_corpus.py"
 
     def _run(self, out, *argv):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (str(Path(tfsep.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
         return subprocess.run([sys.executable, str(self.SCRIPT), "--out", str(out), *argv],
-                              env=env, capture_output=True, text=True, timeout=60)
+                              env=_child_env(), capture_output=True, text=True, timeout=60)
 
     @pytest.mark.parametrize("option, value", [
         ("--duration", "-1"), ("--duration", "0"), ("--duration", "nan"),
@@ -430,19 +458,54 @@ class TestDemoCorpusScript:
         assert len(load_wav(next((tmp_path / "corpus").glob("*/*.wav")))) == 1
 
 
-class TestBlasThreads:
-    """A bare `import tfsep` asks BLAS for one thread; a value the user set wins."""
+class TestNoBlas:
+    """No score goes through BLAS, so a report does not depend on which BLAS
+    kernel the CPU selects or on its thread count, and tfsep needs no BLAS
+    setting: importing it changes no environment variable."""
 
-    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    BLAS_VARS = ("OPENBLAS_CORETYPE", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS")
 
-    @pytest.mark.parametrize("preset", [None, "2"])
-    def test_fresh_import(self, preset):
-        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
-        if preset is not None:
-            env.update(dict.fromkeys(self.VARS, preset))
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (str(Path(tfsep.__file__).parents[1]), env.get("PYTHONPATH"))))
-        code = f"import os, tfsep; print(*(os.environ.get(v) for v in {self.VARS!r}))"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, timeout=60, check=True).stdout.split()
-        assert out == [preset or "1"] * 3
+    def _run(self, code, *argv, **env):
+        """`python -c code argv` in the environment of a shell with no BLAS
+        variable set, plus `env`."""
+        base = {k: v for k, v in _child_env().items() if k not in self.BLAS_VARS}
+        return subprocess.run([sys.executable, "-c", code, *argv], env={**base, **env},
+                              capture_output=True, text=True, timeout=60)
+
+    def test_import_leaves_the_environment_alone(self):
+        code = ("import os; before = dict(os.environ); import tfsep\n"
+                "print(sorted(set(os.environ.items()) ^ set(before.items())))")
+        done = self._run(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_reports_do_not_depend_on_the_blas_kernel(self, tmp_path):
+        # Prescott runs OpenBLAS's Katmai kernels and Haswell its AVX2 ones;
+        # the host's own is the default. 44.1 kHz is a rate whose resampling
+        # (for STOI) decimates by 441.
+        corpora = [make_corpus(tmp_path / f"c{rate}", n_speakers=2, recordings=1, duration=1.0,
+                               rate=rate, seed=1) for rate in (16000, 44100)]
+        grid = _grid_file(tmp_path)
+        code = ("import sys\nfrom tfsep.cli import main\n"
+                "for corpus in sys.argv[2:]:\n"
+                "    assert main(['experiment', '--corpus', corpus, '--mixtures', '1', '--grid',"
+                " sys.argv[1], '--format', 'json', '--out', corpus + '.json']) == 0\n")
+        probe = "import numpy as np; a = np.ones((64, 64)); a @ a"
+        reports = {}
+        for core in ({}, {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Haswell"}):
+            if core:
+                shown = self._run(probe, OPENBLAS_VERBOSE="2", **core)
+                if shown.returncode or "Core: " not in shown.stderr or "not found" in shown.stderr:
+                    continue            # this numpy's BLAS does not offer this kernel here
+            for threads in ("1", "2"):
+                done = self._run(code, str(grid), *map(str, corpora), OPENBLAS_NUM_THREADS=threads,
+                                 **core)
+                assert done.returncode == 0, done.stderr
+                rows = [row for c in corpora for row in json.loads(Path(f"{c}.json").read_text())]
+                for row in rows:
+                    del row["time_s"]
+                reports[str(core), threads] = rows
+        assert all(row["stoi"] is not None for row in rows)
+        first = next(iter(reports.values()))
+        assert all(report == first for report in reports.values()), list(reports)

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -521,8 +524,6 @@ class TestPerMixtureWork:
         make_mixture(corpus, 2, int(np.random.SeedSequence(5).generate_state(1)[0]))
 
     def test_memory_does_not_grow_with_the_mixtures(self, tmp_path):
-        import tracemalloc
-        from tfsep.cli import main
         root = tmp_path / "corpus"
         root.mkdir()
         # enough recordings that a corpus held in memory would show
@@ -530,13 +531,18 @@ class TestPerMixtureWork:
         grid = tmp_path / "grid.json"
         # the 30-level rows fail: a failed trial must not keep its mixture alive
         grid.write_text(json.dumps({"wavelet": {"families": ["haar"], "levels": [1, 30]}}))
+        # each count in a fresh interpreter, so that nothing earlier tests left
+        # behind (an interned-string table one entry short of a resize) is traced
+        code = ("import sys, tracemalloc\nfrom tfsep.cli import main\ntracemalloc.start()\n"
+                "assert main(sys.argv[1:]) == 0\nprint(tracemalloc.get_traced_memory()[1])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
         peaks = []
         for mixtures in (50, 400):
-            tracemalloc.start()
-            try:
-                assert main(["experiment", "--corpus", str(root), "--grid", str(grid),
-                             "--mixtures", str(mixtures), "--out", str(tmp_path / "r.csv")]) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            done = subprocess.run(
+                [sys.executable, "-c", code, "experiment", "--corpus", str(root), "--grid",
+                 str(grid), "--mixtures", str(mixtures), "--out", str(tmp_path / "r.csv")],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            peaks.append(int(done.stdout))
         assert peaks[1] - peaks[0] < 2 << 20, peaks

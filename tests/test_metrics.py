@@ -111,12 +111,31 @@ class TestStoi:
         with pytest.raises(ValueError):
             stoi(np.zeros(8000), np.zeros(8001), 16000)
 
+    def test_band_ranges_are_the_containment_bins(self):
+        # 15 adjacent, non-empty ranges from bin 4 up to bin 110 of the 129
+        edges = metrics._stoi_band_edges()
+        assert len(edges) == 16 and edges[0] == 4 and edges[-1] == 110
+        assert [list(range(a, b)) for a, b in zip(edges[:-1], edges[1:])] == [
+            list(bins) for bins in _containment_bands()]
+        assert all(a < b for a, b in zip(edges[:-1], edges[1:]))
+
     def test_range(self, rng):
         gen = np.random.default_rng(99)
         clean = speech_like(1.5, 16000, gen).samples
         garbage = rng.normal(size=clean.size)
         value = stoi(clean, garbage, 16000)
         assert 0.0 <= value <= 1.0
+
+
+def _containment_bands():
+    """The DFT bins of each STOI band: those whose frequency f lies in
+    [center * 2^(-1/6), center * 2^(1/6)), centers a third of an octave apart
+    from 150 Hz."""
+    m = metrics
+    freqs = m.stft_frequencies(m._STOI_WIN, m._STOI_RATE)
+    centers = m._STOI_LOWEST_CENTER * 2.0 ** (np.arange(m._STOI_BANDS) / 3.0)
+    return [np.flatnonzero((freqs >= c * 2.0 ** (-1.0 / 6.0)) & (freqs < c * 2.0 ** (1.0 / 6.0)))
+            for c in centers]
 
 
 def _frozen_stoi(s, s_hat, rate):
@@ -144,9 +163,13 @@ def _frozen_stoi(s, s_hat, rate):
 
     spec_c = np.abs(m._fft_core(frames_c.astype(np.complex128), -1.0)[:, :m._STOI_WIN // 2 + 1])
     spec_d = np.abs(m._fft_core(frames_d.astype(np.complex128), -1.0)[:, :m._STOI_WIN // 2 + 1])
-    bands = m._stoi_band_matrix()
-    env_c = np.sqrt(bands @ (spec_c.T ** 2))
-    env_d = np.sqrt(bands @ (spec_d.T ** 2))
+    # each band by center-frequency containment, added in numpy's fixed order
+    # (the first bin, then the rest); a band-matrix product would run on BLAS
+    bands = _containment_bands()
+    lo, hi = bands[0][0], bands[-1][-1] + 1
+    starts = [b[0] - lo for b in bands]
+    env_c = np.sqrt(np.add.reduceat(spec_c[:, lo:hi] ** 2, starts, axis=1)).T.copy()
+    env_d = np.sqrt(np.add.reduceat(spec_d[:, lo:hi] ** 2, starts, axis=1)).T.copy()
 
     n_frames = env_c.shape[1]
     clip_gain = 1.0 + 10.0 ** (-m._STOI_CLIP_DB / 20.0)
