@@ -18,8 +18,8 @@ from .harness import (SORT_COLUMNS, DataError, SpeakerCorpus, _positive_number, 
                       default_grid, emit_report, grid_search, json_value, load_grid_file,
                       load_wav, make_mixture, save_wav, stft_entry, wavelet_entry)
 from .masking import decompose
-from .signal import Signal
-from .wavelet import dwt_bands, dwt_heatmap_matrix, lookup, max_level, wavelet_mode
+from .signal import PadMode, Signal
+from .wavelet import dwt_bands, dwt_heatmap_matrix, lookup, max_level
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,7 +62,7 @@ def _add_stft_options(p):
 def _add_wavelet_options(p):
     p.add_argument("--wavelet", type=lookup, default="sym8")
     p.add_argument("--levels", type=_at_least(1), default=6)
-    p.add_argument("--mode", type=wavelet_mode, default="periodization",
+    p.add_argument("--mode", type=PadMode, default="periodization",
                    help="zero, periodization or symmetric")
 
 

@@ -12,7 +12,6 @@ them; `_rfft` writes the spectrum over the buffer it packed the rows into.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -199,28 +198,28 @@ class StftConfig:
     window: WindowKind
     win_size: int
     hop: int
-    fft_size: int
 
     def __post_init__(self):
-        if not (0 < self.hop <= self.win_size <= self.fft_size) or self.win_size < 2:
-            raise ValueError(
-                f"need 0 < hop <= win_size <= fft_size and win_size >= 2, got hop={self.hop} "
-                f"win_size={self.win_size} fft_size={self.fft_size}")
-        if not _is_pow2(self.fft_size):
-            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
+        if not (0 < self.hop <= self.win_size) or self.win_size < 2:
+            raise ValueError(f"need 0 < hop <= win_size and win_size >= 2, "
+                             f"got hop={self.hop} win_size={self.win_size}")
+
+    @property
+    def fft_size(self) -> int:
+        """The window size rounded up to the next power of two."""
+        return 1 << (self.win_size - 1).bit_length()
 
     @classmethod
     def from_milliseconds(cls, window: WindowKind, win_ms: float, hop_ms: float,
                           rate: int) -> "StftConfig":
-        """Millisecond sizes convert as floor(ms/1000 * rate); the FFT size is
-        the window size rounded up to the next power of two."""
+        """Millisecond sizes convert as floor(ms/1000 * rate)."""
         win, hop = win_ms / 1000.0 * rate, hop_ms / 1000.0 * rate
         if not (math.isfinite(win) and math.isfinite(hop)):
             raise ValueError(f"window/hop not finite: {win_ms} ms / {hop_ms} ms at {rate} Hz")
         win, hop = int(win), int(hop)
         if win < 2 or hop < 1:
             raise ValueError(f"window/hop too small: {win_ms} ms / {hop_ms} ms at {rate} Hz")
-        return cls(window, win, hop, 1 << max(1, (win - 1).bit_length()))
+        return cls(window, win, hop)
 
 
 def stft_frequencies(fft_size: int, rate: int) -> np.ndarray:
@@ -321,7 +320,8 @@ def export_heatmap(matrix, pgm_path, csv_path=None) -> None:
 
     Pixels are log-magnitude, min-max normalized; matrix row 0 is the lowest
     frequency and is written as the bottom PGM row. The CSV holds the raw
-    values, row 0 first. csv_path defaults to the PGM path with a .csv suffix.
+    values, row 0 first, one LF-ended line per row. csv_path defaults to the
+    PGM path with a .csv suffix.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if not np.all(np.isfinite(matrix)):
@@ -341,6 +341,5 @@ def export_heatmap(matrix, pgm_path, csv_path=None) -> None:
         fh.write(pixels[::-1].tobytes())
 
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         for row in matrix:
-            writer.writerow([f"{v:.17g}" for v in row])
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

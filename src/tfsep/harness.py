@@ -25,8 +25,8 @@ from .masking import (DecompositionConfig, DwtConfig, WptConfig, add, apply_mask
                       decompose, ideal_binary_mask, reconstruct)
 from .metrics import (MetricScores, StoiReference, mse, si_sdr, snr, stoi,
                       stoi_reference)
-from .signal import Signal
-from .wavelet import available_families, lookup, wavelet_mode
+from .signal import PadMode, Signal
+from .wavelet import available_families, lookup
 
 
 class DataError(Exception):
@@ -235,8 +235,8 @@ def stft_entry(window: str, size_ms: float, hop_ms: float) -> GridEntry:
 def wavelet_entry(kind: str, family: str, levels: int,
                   mode: str = "periodization") -> GridEntry:
     cls, label = (DwtConfig, "wavelet") if kind == "dwt" else (WptConfig, "wavelet_packet")
-    pad = wavelet_mode(mode)
-    return GridEntry(label, f"{family} {levels} levels {pad.value}", cls(family, levels, pad))
+    mode = PadMode(mode)
+    return GridEntry(label, f"{family} {levels} levels {mode.value}", cls(family, levels, mode))
 
 
 def build_config(entry: GridEntry, rate: int) -> DecompositionConfig:
@@ -282,7 +282,7 @@ def _positive_int(value):
 
 
 # section -> key -> check of one value; every key but "mode" holds a list
-_WAVELET_KEYS = {"families": lookup, "levels": _positive_int, "mode": wavelet_mode}
+_WAVELET_KEYS = {"families": lookup, "levels": _positive_int, "mode": PadMode}
 _GRID_KEYS = {
     "stft": {"windows": WindowKind, "sizes_ms": _positive_number,
              "hop_fractions": _positive_number},

@@ -43,9 +43,9 @@ def reconstruct(tf: TFRepresentation) -> Signal:
     if isinstance(cfg, StftConfig):
         return istft(tf)
     if isinstance(cfg, DwtConfig):
-        return wavelet.waverec(tf, wavelet.lookup(cfg.wavelet))
+        return wavelet.waverec(tf)
     if isinstance(cfg, WptConfig):
-        return wavelet.iwpt(tf, wavelet.lookup(cfg.wavelet))
+        return wavelet.iwpt(tf)
     raise TypeError(f"unknown decomposition config {cfg!r}")
 
 

@@ -66,14 +66,14 @@ def si_sdr(s, s_hat) -> float:
     10 log10(||alpha s||^2 / ||alpha s - s_hat||^2).
 
     Returns +inf when s_hat is exactly a rescaled s, -inf when s_hat is
-    orthogonal to s (alpha = 0).
+    orthogonal to s (alpha = 0). A silent reference raises MetricError.
     """
     s, s_hat = _as_pair(s, s_hat)
     # one fixed-order sum (numpy's, not np.dot's BLAS) for numerator and denominator,
     # so alpha is exactly 1.0 (and the +inf sentinel fires) when s_hat is s
     energy = float(np.sum(s * s))
     if energy == 0.0:
-        raise ValueError("si_sdr reference must be non-zero")
+        raise MetricError("si_sdr reference must be non-zero")
     alpha = float(np.sum(s * s_hat)) / energy
     if alpha == 0.0:
         return -math.inf

@@ -19,7 +19,6 @@ class PadMode(Enum):
     PadMode(name) parses a mode name, case-insensitively."""
 
     ZERO = "zero"
-    PERIODIC = "periodic"
     SYMMETRIC = "symmetric"
     # DWT naming convention: periodic extension plus per-level even-length
     # padding, which keeps band lengths at ceil(n / 2^level)
@@ -122,7 +121,7 @@ def pad(x, target_len: int, mode: PadMode = PadMode.ZERO) -> np.ndarray:
         return x.copy()
     if mode == PadMode.ZERO:
         return np.pad(x, (0, extra))
-    if mode in (PadMode.PERIODIC, PadMode.PERIODIZATION):
+    if mode == PadMode.PERIODIZATION:
         return np.pad(x, (0, extra), mode="wrap")
     if mode == PadMode.SYMMETRIC:
         return np.pad(x, (0, extra), mode="symmetric")

@@ -144,8 +144,8 @@ def count_vanishing_moments(bank: WaveletFilterBank, max_p: int | None = None,
 # analysis / synthesis kernels over stacks of bands
 
 def _check_mode(mode: PadMode) -> None:
-    """Both kernels implement periodization, zero and symmetric extension."""
-    if mode not in (PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC):
+    """Both kernels implement every PadMode; a mode name is not one."""
+    if not isinstance(mode, PadMode):
         raise ValueError(f"unsupported boundary mode {mode!r}")
 
 
@@ -161,13 +161,13 @@ def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank,
         if n % 2:  # odd bands get one zero sample
             bands = np.pad(bands, [(0, 0), (0, 1)])
         ext = np.pad(bands, [(0, 0), (0, k - 1)], mode="wrap")
-        phase, out_len = 0, bands.shape[1] // 2
+        phase = 0
     else:
         pad_kw = {} if mode == PadMode.ZERO else {"mode": "symmetric"}
         ext = np.pad(bands, [(0, 0), (k - 1, k - 1)], **pad_kw)
-        phase, out_len = 1, (n + k - 1) // 2
+        phase = 1
     # correlation with the synthesis filters == convolution with dec_lo/dec_hi
-    windows = sliding_window_view(ext, k, axis=1)[:, phase::2][:, :out_len]
+    windows = sliding_window_view(ext, k, axis=1)[:, phase::2][:, :_band_length(n, k, mode)]
     return windows @ _in_tap_order(bank.rec_lo), windows @ _in_tap_order(bank.rec_hi)
 
 
@@ -261,14 +261,6 @@ class WptConfig:
     mode: PadMode = PadMode.PERIODIZATION
 
 
-def wavelet_mode(name) -> PadMode:
-    """Parse a wavelet boundary mode name: a PadMode other than periodic."""
-    mode = PadMode(name)
-    if mode is PadMode.PERIODIC:  # the transforms implement periodization instead
-        raise ValueError("'periodic' is not a wavelet boundary mode; use 'periodization'")
-    return mode
-
-
 def wavedec(s: Signal, bank: WaveletFilterBank, levels: int,
             mode: PadMode = PadMode.PERIODIZATION) -> TFRepresentation:
     """Cascade dwt_step on successive approximations for `levels` levels.
@@ -302,15 +294,11 @@ def dwt_bands(tf: TFRepresentation) -> list[np.ndarray]:
     return np.split(tf.coeffs, np.cumsum(sizes)[:-1])
 
 
-def _check_bank(tf: TFRepresentation, bank: WaveletFilterBank, kind: type) -> None:
-    if not isinstance(tf.config, kind) or tf.config.wavelet != bank.name:
-        raise ValueError(f"cannot invert a {tf.config!r} representation with bank {bank.name!r}")
-
-
-def waverec(tf: TFRepresentation, bank: WaveletFilterBank) -> Signal:
-    """Invert wavedec and trim to the original length."""
-    _check_bank(tf, bank, DwtConfig)
+def waverec(tf: TFRepresentation) -> Signal:
+    """Invert wavedec with the registered bank its config names, and trim to
+    the original length."""
     approx, *details = dwt_bands(tf)
+    bank = lookup(tf.config.wavelet)
     # each level's output is as long as the next finer detail band
     out_lens = [d.size for d in details[1:]] + [tf.original_len]
     approx = approx[np.newaxis]
@@ -349,10 +337,13 @@ def wpt(s: Signal, bank: WaveletFilterBank, levels: int,
     return TFRepresentation(ordered, WptConfig(bank.name, levels, mode), s.rate, n)
 
 
-def iwpt(tf: TFRepresentation, bank: WaveletFilterBank) -> Signal:
-    """Invert wpt and trim to the original length."""
-    _check_bank(tf, bank, WptConfig)
+def iwpt(tf: TFRepresentation) -> Signal:
+    """Invert wpt with the registered bank its config names, and trim to the
+    original length."""
     cfg = tf.config
+    if not isinstance(cfg, WptConfig):
+        raise ValueError(f"expected a WPT representation, got config {cfg!r}")
+    bank = lookup(cfg.wavelet)
     chain = _length_chain(tf.original_len, len(bank), cfg.levels, cfg.mode)
     bands = tf.coeffs[gray_permutation(cfg.levels)]
     for level in range(cfg.levels, 0, -1):

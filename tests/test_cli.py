@@ -213,6 +213,8 @@ class TestMetricsCommand:
         save_wav(Signal(np.zeros(len(load_wav(wav_file))), 16000), silent)
         assert main(["metrics", "--ref", str(silent), "--deg", str(wav_file), "--snr"]) == 2
         assert capsys.readouterr() == ("", "tfsep: snr reference must be non-zero\n")
+        assert main(["metrics", "--ref", str(silent), "--deg", str(wav_file), "--si-sdr"]) == 2
+        assert capsys.readouterr() == ("", "tfsep: si_sdr reference must be non-zero\n")
         assert main(["metrics", "--ref", str(silent), "--deg", str(silent), "--snr"]) == 0
         assert json.loads(capsys.readouterr().out) == {"snr": "inf"}
 

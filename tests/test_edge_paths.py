@@ -76,28 +76,26 @@ def _noise(n=64):
 
 
 def _as_periodic(tf):
-    """tf with its config's mode set to PERIODIC, which no wavelet transform makes."""
-    return dataclasses.replace(tf, config=dataclasses.replace(tf.config, mode=PadMode.PERIODIC))
+    """tf with its config's mode set to "periodic", which is not a PadMode."""
+    return dataclasses.replace(tf, config=dataclasses.replace(tf.config, mode="periodic"))
 
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: StftConfig(WindowKind.HANN, 512, 256, 768), ValueError,
-         "fft_size must be a power of two, got 768"),
         (lambda: stft_frequencies(500, 16000), ValueError, "power of two, got 500"),
         (lambda: make_window("hann", 8), ValueError, "unknown window kind 'hann'"),
         (lambda: Signal(np.zeros((2, 4)), 8000), ValueError, "one-dimensional"),
         (lambda: convolve([1.0], [1.0], "valid"), ValueError, "unknown convolution mode"),
         (lambda: pad([1.0], 3, "reflect"), ValueError, "unknown pad mode"),
         (lambda: count_vanishing_moments(lookup("haar"), tol=0), ValueError, "tol must be"),
-        (lambda: dwt_step(np.zeros(8), lookup("haar"), PadMode.PERIODIC), ValueError,
+        (lambda: dwt_step(np.zeros(8), lookup("haar"), "periodic"), ValueError,
          "unsupported boundary mode"),
         (lambda: dwt_step(np.zeros((2, 8)), lookup("haar")), ValueError, "1-D signal"),
-        (lambda: idwt_step(np.ones(4), np.ones(4), lookup("haar"), PadMode.PERIODIC),
+        (lambda: idwt_step(np.ones(4), np.ones(4), lookup("haar"), "periodic"),
          ValueError, "unsupported boundary mode"),
-        (lambda: waverec(_as_periodic(wavedec(_noise(), lookup("haar"), 2)), lookup("haar")),
+        (lambda: waverec(_as_periodic(wavedec(_noise(), lookup("haar"), 2))),
          ValueError, "unsupported boundary mode"),
-        (lambda: iwpt(_as_periodic(wpt(_noise(), lookup("db2"), 2)), lookup("db2")),
+        (lambda: iwpt(_as_periodic(wpt(_noise(), lookup("db2"), 2))),
          ValueError, "unsupported boundary mode"),
         (lambda: dwt_bands(wpt(_noise(), lookup("haar"), 2)), ValueError,
          "expected a DWT representation"),
@@ -112,7 +110,7 @@ class TestMalformedInputs:
         (lambda: emit_report(ExperimentReport((ReportRow("stft", "x", 1.0, 0.0, 0.0, 0.0, 0.1,
                                                          1, "ok"),)), "xml", "never.xml"),
          ValueError, "unknown report format 'xml'"),
-    ], ids=["stft-config-fft-size", "stft-frequencies-size", "window-kind", "signal-2d",
+    ], ids=["stft-frequencies-size", "window-kind", "signal-2d",
             "convolve-mode", "pad-mode", "moments-tol", "dwt-step-periodic", "dwt-step-2d",
             "idwt-step-periodic", "waverec-periodic", "iwpt-periodic", "dwt-bands-of-wpt",
             "wpt-no-levels", "wpt-too-many-levels", "ricker-scale", "cwt-no-scales",
@@ -122,7 +120,7 @@ class TestMalformedInputs:
             call()
 
     def test_istft_rejects_wrong_row_count(self, rng):
-        cfg = StftConfig(WindowKind.HANN, 64, 32, 64)
+        cfg = StftConfig(WindowKind.HANN, 64, 32)
         m = stft(Signal(rng.normal(size=500), 8000), cfg)
         with pytest.raises(ValueError):
             istft(dataclasses.replace(m, coeffs=m.coeffs[:-1]))
@@ -130,10 +128,9 @@ class TestMalformedInputs:
     def test_inverses_reject_another_transforms_coefficients(self, rng):
         s = Signal(rng.normal(size=512), 8000)
         haar = lookup("haar")
-        tfs = {"stft": stft(s, StftConfig(WindowKind.HANN, 64, 32, 64)),
+        tfs = {"stft": stft(s, StftConfig(WindowKind.HANN, 64, 32)),
                "dwt": wavedec(s, haar, 3), "wpt": wpt(s, haar, 3)}
-        inverses = {"stft": istft, "dwt": lambda tf: waverec(tf, haar),
-                    "wpt": lambda tf: iwpt(tf, haar)}
+        inverses = {"stft": istft, "dwt": waverec, "wpt": iwpt}
         for name, inverse in inverses.items():
             for other, tf in tfs.items():
                 if other != name:
@@ -187,8 +184,6 @@ class TestRoundTripProperties:
     @given(st.integers(120, 900), st.sampled_from(["haar", "db4", "sym8", "coif2"]),
            st.sampled_from(list(PadMode)), st.integers(0, 2 ** 32 - 1))
     def test_wavedec_inverts(self, n, family, mode, seed):
-        if mode is PadMode.PERIODIC:
-            mode = PadMode.PERIODIZATION
         gen = np.random.default_rng(seed)
         s = Signal(gen.normal(size=n), 8000)
         bank = lookup(family)
@@ -200,7 +195,7 @@ class TestRoundTripProperties:
     def test_stft_inverts(self, n, log_win, seed):
         gen = np.random.default_rng(seed)
         win = 1 << log_win
-        cfg = StftConfig(WindowKind.HANN, win, win // 2, win)
+        cfg = StftConfig(WindowKind.HANN, win, win // 2)
         s = Signal(gen.normal(size=n), 8000)
         back = istft(stft(s, cfg))
         err = np.linalg.norm(back.samples - s.samples) / np.linalg.norm(s.samples)
@@ -209,4 +204,4 @@ class TestRoundTripProperties:
 
 def waverec_like(s, bank, levels, mode):
     from tfsep.wavelet import waverec
-    return waverec(wavedec(s, bank, levels, mode), bank).samples
+    return waverec(wavedec(s, bank, levels, mode)).samples

@@ -167,7 +167,7 @@ def _degenerate_mixture(rng) -> Mixture:
 class TestIbmTrial:
     def test_zero_interference_is_perfect(self, rng):
         mix = _degenerate_mixture(rng)
-        for cfg in (StftConfig(WindowKind.HANN, 800, 400, 1024),
+        for cfg in (StftConfig(WindowKind.HANN, 800, 400),
                     DwtConfig("sym8", 6), WptConfig("sym8", 6)):
             scores = run_ibm_trial(mix, cfg)
             assert abs(scores.stoi - 1.0) < 1e-6
@@ -196,7 +196,7 @@ class TestIbmTrial:
 
     def test_mask_never_hurts_on_average(self, small_corpus):
         corpus = SpeakerCorpus.from_dir(small_corpus)
-        cfg = StftConfig(WindowKind.HANN, 512, 256, 512)
+        cfg = StftConfig(WindowKind.HANN, 512, 256)
         gains = []
         from tfsep.metrics import si_sdr
         for seed in range(10):

@@ -59,7 +59,7 @@ class TestDispatch:
 def _tf_pair(values_s, values_n, rng):
     """Tiny STFT representations with controlled magnitudes in one bin."""
     s = Signal(rng.normal(size=512), 8000)
-    cfg = StftConfig(WindowKind.HANN, 64, 32, 64)
+    cfg = StftConfig(WindowKind.HANN, 64, 32)
     base = decompose(s, cfg)
     import dataclasses
     return (dataclasses.replace(base, coeffs=np.full_like(base.coeffs, values_s)),

@@ -63,7 +63,7 @@ class TestSiSdr:
         assert si_sdr([1.0, 0.0], [0.0, 1.0]) == -math.inf
 
     def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MetricError, match="si_sdr reference must be non-zero"):
             si_sdr(np.zeros(8), np.ones(8))
 
     @given(st.integers(0, 2 ** 32 - 1))

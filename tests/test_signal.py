@@ -91,7 +91,7 @@ class TestPad:
         assert pad([1, 2], 4, PadMode.ZERO).tolist() == [1, 2, 0, 0]
 
     def test_periodic(self):
-        assert pad([1, 2], 4, PadMode.PERIODIC).tolist() == [1, 2, 1, 2]
+        assert pad([1, 2], 4, PadMode.PERIODIZATION).tolist() == [1, 2, 1, 2]
 
     def test_symmetric_repeats_last(self):
         assert pad([1, 2, 3], 5, PadMode.SYMMETRIC).tolist() == [1, 2, 3, 3, 2]

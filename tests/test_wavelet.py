@@ -161,7 +161,7 @@ class TestWavedec:
         s = Signal(rng.normal(size=100), 8000)
         coeffs = wavedec(s, lookup("db2"), 3)
         assert [d.size for d in dwt_bands(coeffs)[:0:-1]] == [50, 25, 13]
-        back = waverec(coeffs, lookup("db2"))
+        back = waverec(coeffs)
         assert np.max(np.abs(back.samples - s.samples)) < 1e-10
 
     def test_polynomial_annihilation(self):
@@ -199,7 +199,7 @@ class TestWavedec:
             bank = lookup(name)
             for levels in (1, 3, 6):
                 coeffs = wavedec(s, bank, levels, mode)
-                back = waverec(coeffs, bank)
+                back = waverec(coeffs)
                 err = np.max(np.abs(back.samples - s.samples))
                 assert err < 1e-8, (name, mode, levels, err)
 
@@ -310,7 +310,7 @@ class TestWpt:
         for name in ("haar", "db4", "sym8", "coif5", "db20"):
             bank = lookup(name)
             for levels in (1, 3, 6):
-                back = iwpt(wpt(s, bank, levels, mode), bank)
+                back = iwpt(wpt(s, bank, levels, mode))
                 err = np.max(np.abs(back.samples - s.samples))
                 assert err < 1e-8, (name, mode, levels, err)
 
@@ -338,10 +338,14 @@ class TestWpt:
                  for row in energy]
         assert np.all(np.diff(ridge) > 0)
 
-    def test_wrong_bank_rejected(self, rng):
-        leaves = wpt(Signal(rng.normal(size=64), 8000), lookup("haar"), 2)
-        with pytest.raises(ValueError):
-            iwpt(leaves, lookup("db2"))
+    def test_unregistered_bank_rejected(self, rng):
+        # the inverses look up the bank the config names, so only registered ones invert
+        haar = lookup("haar")
+        mine = WaveletFilterBank("mine", haar.dec_lo, haar.dec_hi, haar.rec_lo, haar.rec_hi, 1)
+        s = Signal(rng.normal(size=64), 8000)
+        for forward, inverse in ((wavedec, waverec), (wpt, iwpt)):
+            with pytest.raises(ValueError, match="unknown wavelet 'mine'"):
+                inverse(forward(s, mine, 2))
 
 
 class TestVanishingMoments:
