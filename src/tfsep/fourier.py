@@ -234,6 +234,11 @@ def _frame(x: np.ndarray, win_size: int, hop: int) -> np.ndarray:
     return view[::hop]
 
 
+def _frame_count(n: int, cfg: StftConfig) -> int:
+    """Frames of an n-sample STFT: win_size//2 zeros at each end, the last frame completed."""
+    return -(-(n + 2 * (cfg.win_size // 2) - cfg.win_size) // cfg.hop) + 1
+
+
 # frames x fft_size of one STFT, 8.5x the largest default-grid STFT of a 12 s,
 # 44.1 kHz recording (100 ms, 25 ms hop). The tracemalloc peaks of stft and of
 # istft at 2^21 and 2^22 points, each call building its own twiddle tables: about
@@ -256,7 +261,7 @@ def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
     if len(s) == 0:
         raise ValueError("cannot STFT an empty signal")
     edge = cfg.win_size // 2
-    n_frames = -(-(len(s) + 2 * edge - cfg.win_size) // cfg.hop) + 1
+    n_frames = _frame_count(len(s), cfg)
     if n_frames * cfg.fft_size > STFT_MAX_POINTS:
         raise ValueError(f"STFT too large: {n_frames} frames x {cfg.fft_size} FFT points "
                          f"exceeds {STFT_MAX_POINTS} points")
@@ -301,11 +306,10 @@ def istft(m: TFRepresentation) -> Signal:
     cfg = m.config
     if not isinstance(cfg, StftConfig):
         raise ValueError(f"expected an STFT representation, got config {cfg!r}")
-    n_bins = m.coeffs.shape[0]
-    nfft = cfg.fft_size
-    if n_bins != nfft // 2 + 1:
-        raise ValueError(f"expected {nfft // 2 + 1} frequency rows, got {n_bins}")
-    frames = _irfft(m.coeffs.T, nfft)[:, :cfg.win_size]
+    shape = (cfg.fft_size // 2 + 1, _frame_count(m.original_len, cfg))
+    if m.coeffs.shape != shape:
+        raise ValueError(f"expected STFT coefficients of shape {shape}, got {m.coeffs.shape}")
+    frames = _irfft(m.coeffs.T, cfg.fft_size)[:, :cfg.win_size]
     num, den = _overlap_add(frames, make_window(cfg.window, cfg.win_size), cfg.hop)
     edge = cfg.win_size // 2
     num = num[edge:edge + m.original_len]

@@ -198,7 +198,7 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
         si_sdr=guarded(si_sdr, clean, estimate.samples),
         snr=guarded(snr, clean, estimate.samples),
         mse=guarded(mse, clean, estimate.samples),
-        decomposition_time=elapsed,
+        time_s=elapsed,
     )
 
 
@@ -353,7 +353,7 @@ class ExperimentReport:
         return self.rows[0].n_mixtures
 
 
-SORT_COLUMNS = ("stoi", "si_sdr", "snr", "mse", "time_s")
+SORT_COLUMNS = tuple(f.name for f in fields(MetricScores))
 _SORT_DESCENDING = {"stoi", "si_sdr", "snr"}
 
 
@@ -416,12 +416,12 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
         if errors:
             # keep the CSV comma-free
             reason = str(errors[0]).replace(",", ";").replace("\n", " ")
-            rows.append(ReportRow(entry.decomposition, entry.params, None, None,
-                                  None, None, None, n_mixtures,
-                                  f"failed: {reason}"))
-            continue
-        means = (_mean([getattr(r, f.name) for r in results]) for f in fields(MetricScores))
-        rows.append(ReportRow(entry.decomposition, entry.params, *means, n_mixtures, "ok"))
+            means, status = dict.fromkeys(SORT_COLUMNS), f"failed: {reason}"
+        else:
+            means = {col: _mean([getattr(r, col) for r in results]) for col in SORT_COLUMNS}
+            status = "ok"
+        rows.append(ReportRow(entry.decomposition, entry.params, n_mixtures=n_mixtures,
+                              status=status, **means))
 
     def sort_key(row: ReportRow):
         value = getattr(row, sort_by)

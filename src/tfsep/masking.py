@@ -26,27 +26,23 @@ def _check_congruent(a: TFRepresentation, b: TFRepresentation) -> None:
                          f"vs {b.config} {b.coeffs.shape}")
 
 
+def _transforms(cfg):
+    """(forward, inverse) of cfg's type, built per call so that patched attributes run."""
+    try:
+        return {StftConfig: (stft, istft), DwtConfig: (wavelet.wavedec, wavelet.waverec),
+                WptConfig: (wavelet.wpt, wavelet.iwpt)}[type(cfg)]
+    except KeyError:
+        raise TypeError(f"unknown decomposition config {cfg!r}") from None
+
+
 def decompose(s: Signal, cfg: DecompositionConfig) -> TFRepresentation:
     """Dispatch to stft / wavedec / wpt."""
-    if isinstance(cfg, StftConfig):
-        return stft(s, cfg)
-    if isinstance(cfg, DwtConfig):
-        return wavelet.wavedec(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode)
-    if isinstance(cfg, WptConfig):
-        return wavelet.wpt(s, wavelet.lookup(cfg.wavelet), cfg.levels, cfg.mode)
-    raise TypeError(f"unknown decomposition config {cfg!r}")
+    return _transforms(cfg)[0](s, cfg)
 
 
 def reconstruct(tf: TFRepresentation) -> Signal:
     """Invert decompose() and trim to the original signal length."""
-    cfg = tf.config
-    if isinstance(cfg, StftConfig):
-        return istft(tf)
-    if isinstance(cfg, DwtConfig):
-        return wavelet.waverec(tf)
-    if isinstance(cfg, WptConfig):
-        return wavelet.iwpt(tf)
-    raise TypeError(f"unknown decomposition config {cfg!r}")
+    return _transforms(tf.config)[1](tf)
 
 
 def add(a: TFRepresentation, b: TFRepresentation) -> TFRepresentation:

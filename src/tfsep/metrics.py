@@ -28,7 +28,7 @@ class MetricScores:
     si_sdr: float | None
     snr: float | None
     mse: float | None
-    decomposition_time: float
+    time_s: float
 
 
 def _as_pair(s, s_hat):

@@ -217,16 +217,17 @@ def dwt_step(x, bank: WaveletFilterBank,
 
 def idwt_step(approx, detail, bank: WaveletFilterBank,
               mode: PadMode = PadMode.PERIODIZATION, length: int | None = None) -> np.ndarray:
-    """Inverse of dwt_step. `length` trims the result (defaults to the full
-    natural output length of the chosen mode)."""
-    approx = np.atleast_2d(np.asarray(approx, dtype=np.float64))
-    detail = np.atleast_2d(np.asarray(detail, dtype=np.float64))
-    if approx.shape != detail.shape:
-        raise ValueError("approximation and detail must have equal length")
-    if length is None:
-        length = 2 * approx.shape[1] if mode == PadMode.PERIODIZATION \
-            else 2 * approx.shape[1] - len(bank) + 2
-    return _synthesis_pair(approx, detail, bank, mode, length)[0]
+    """Inverse of dwt_step for one pair of 1-D bands. `length`, from 1 to the
+    natural output length of the chosen mode (the default), trims the result."""
+    approx = np.asarray(approx, dtype=np.float64)
+    detail = np.asarray(detail, dtype=np.float64)
+    if approx.ndim != 1 or approx.shape != detail.shape:
+        raise ValueError("approximation and detail must be 1-D bands of equal length")
+    natural = 2 * approx.size if mode == PadMode.PERIODIZATION else 2 * approx.size - len(bank) + 2
+    length = natural if length is None else length
+    if not 1 <= length <= natural:
+        raise ValueError(f"length must be in [1, {natural}] for {approx.size}-coefficient bands")
+    return _synthesis_pair(approx[np.newaxis], detail[np.newaxis], bank, mode, length)[0]
 
 
 def _band_length(n: int, k: int, mode: PadMode) -> int:
@@ -261,23 +262,30 @@ class WptConfig:
     mode: PadMode = PadMode.PERIODIZATION
 
 
-def wavedec(s: Signal, bank: WaveletFilterBank, levels: int,
-            mode: PadMode = PadMode.PERIODIZATION) -> TFRepresentation:
-    """Cascade dwt_step on successive approximations for `levels` levels.
+def _registered_bank(cfg, cls: type, n: int) -> WaveletFilterBank:
+    """The bank a `cls` config names, once its type, mode and depth for n samples check."""
+    if not isinstance(cfg, cls):
+        raise ValueError(f"expected a {cls.__name__[:3].upper()} representation, got config {cfg}")
+    _check_mode(cfg.mode)
+    if not 1 <= cfg.levels <= max_level(n):
+        raise ValueError(f"levels must be in [1, {max_level(n)}] for a length-{n} signal")
+    return lookup(cfg.wavelet)
+
+
+def wavedec(s: Signal, cfg: DwtConfig) -> TFRepresentation:
+    """Cascade dwt_step on successive approximations for `cfg.levels` levels.
 
     The coefficients are one flat vector [approx, detail_L, ..., detail_1];
     dwt_bands splits it into bands.
     """
-    n = len(s)
-    if not 1 <= levels <= max_level(n):
-        raise ValueError(f"levels must be in [1, {max_level(n)}] for a length-{n} signal")
+    bank = _registered_bank(cfg, DwtConfig, len(s))
     approx = s.samples[np.newaxis]
     details = []
-    for _ in range(levels):
-        approx, det = _analysis_pair(approx, bank, mode)
+    for _ in range(cfg.levels):
+        approx, det = _analysis_pair(approx, bank, cfg.mode)
         details.append(det[0])
     flat = np.concatenate([approx[0], *details[::-1]])
-    return TFRepresentation(flat, DwtConfig(bank.name, levels, mode), s.rate, n)
+    return TFRepresentation(flat, cfg, s.rate, len(s))
 
 
 def dwt_bands(tf: TFRepresentation) -> list[np.ndarray]:
@@ -285,9 +293,8 @@ def dwt_bands(tf: TFRepresentation) -> list[np.ndarray]:
     (views, not copies), with the band lengths of the registered bank the
     config names."""
     cfg = tf.config
-    if not isinstance(cfg, DwtConfig):
-        raise ValueError(f"expected a DWT representation, got config {cfg!r}")
-    chain = _length_chain(tf.original_len, len(lookup(cfg.wavelet)), cfg.levels, cfg.mode)
+    bank = _registered_bank(cfg, DwtConfig, tf.original_len)
+    chain = _length_chain(tf.original_len, len(bank), cfg.levels, cfg.mode)
     sizes = [chain[-1], *chain[:0:-1]]
     if tf.coeffs.shape != (sum(sizes),):
         raise ValueError(f"expected {sum(sizes)} DWT coefficients, got shape {tf.coeffs.shape}")
@@ -321,30 +328,28 @@ def gray_permutation(levels: int) -> np.ndarray:
     return g
 
 
-def wpt(s: Signal, bank: WaveletFilterBank, levels: int,
-        mode: PadMode = PadMode.PERIODIZATION) -> TFRepresentation:
+def wpt(s: Signal, cfg: WptConfig) -> TFRepresentation:
     """Full binary-tree packet decomposition: the 2^levels leaf bands stacked
     as matrix rows in increasing center-frequency order."""
-    n = len(s)
-    if not 1 <= levels <= max_level(n):
-        raise ValueError(f"levels must be in [1, {max_level(n)}] for a length-{n} signal")
+    bank = _registered_bank(cfg, WptConfig, len(s))
     bands = s.samples[np.newaxis]
-    for _ in range(levels):
-        lo, hi = _analysis_pair(bands, bank, mode)
+    for _ in range(cfg.levels):
+        lo, hi = _analysis_pair(bands, bank, cfg.mode)
         bands = np.stack([lo, hi], axis=1).reshape(2 * lo.shape[0], lo.shape[1])
     ordered = np.empty_like(bands)
-    ordered[gray_permutation(levels)] = bands
-    return TFRepresentation(ordered, WptConfig(bank.name, levels, mode), s.rate, n)
+    ordered[gray_permutation(cfg.levels)] = bands
+    return TFRepresentation(ordered, cfg, s.rate, len(s))
 
 
 def iwpt(tf: TFRepresentation) -> Signal:
     """Invert wpt with the registered bank its config names, and trim to the
     original length."""
     cfg = tf.config
-    if not isinstance(cfg, WptConfig):
-        raise ValueError(f"expected a WPT representation, got config {cfg!r}")
-    bank = lookup(cfg.wavelet)
+    bank = _registered_bank(cfg, WptConfig, tf.original_len)
     chain = _length_chain(tf.original_len, len(bank), cfg.levels, cfg.mode)
+    shape = (1 << cfg.levels, chain[-1])
+    if tf.coeffs.shape != shape:
+        raise ValueError(f"expected WPT coefficients of shape {shape}, got {tf.coeffs.shape}")
     bands = tf.coeffs[gray_permutation(cfg.levels)]
     for level in range(cfg.levels, 0, -1):
         bands = _synthesis_pair(bands[0::2], bands[1::2], bank, cfg.mode, chain[level - 1])
@@ -392,9 +397,9 @@ def central_frequency(name: str) -> float:
     return float(k) / support
 
 
-def scale_to_frequency(bank: WaveletFilterBank, scale: float, rate: int) -> float:
-    """Frequency in Hz matched by the wavelet dilated by `scale` at `rate`."""
-    return central_frequency(bank.name) * rate / scale
+def scale_to_frequency(name: str, scale: float, rate: int) -> float:
+    """Frequency in Hz matched by the wavelet `name` dilated by `scale` at `rate`."""
+    return central_frequency(name) * rate / scale
 
 
 _RICKER_NORM = 2.0 / (np.sqrt(3.0) * np.pi ** 0.25)

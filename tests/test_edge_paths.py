@@ -93,18 +93,18 @@ class TestMalformedInputs:
         (lambda: dwt_step(np.zeros((2, 8)), lookup("haar")), ValueError, "1-D signal"),
         (lambda: idwt_step(np.ones(4), np.ones(4), lookup("haar"), "periodic"),
          ValueError, "unsupported boundary mode"),
-        (lambda: waverec(_as_periodic(wavedec(_noise(), lookup("haar"), 2))),
+        (lambda: waverec(_as_periodic(wavedec(_noise(), DwtConfig("haar", 2)))),
          ValueError, "unsupported boundary mode"),
-        (lambda: iwpt(_as_periodic(wpt(_noise(), lookup("db2"), 2))),
+        (lambda: iwpt(_as_periodic(wpt(_noise(), WptConfig("db2", 2)))),
          ValueError, "unsupported boundary mode"),
-        (lambda: dwt_bands(wpt(_noise(), lookup("haar"), 2)), ValueError,
+        (lambda: dwt_bands(wpt(_noise(), WptConfig("haar", 2))), ValueError,
          "expected a DWT representation"),
-        (lambda: wpt(_noise(), lookup("haar"), 0), ValueError, r"levels must be in \[1, 6\]"),
-        (lambda: wpt(_noise(), lookup("haar"), 7), ValueError, r"levels must be in \[1, 6\]"),
+        (lambda: wpt(_noise(), WptConfig("haar", 0)), ValueError, r"levels must be in \[1, 6\]"),
+        (lambda: wpt(_noise(), WptConfig("haar", 7)), ValueError, r"levels must be in \[1, 6\]"),
         (lambda: ricker_kernel(0), ValueError, "scale must be positive"),
         (lambda: cwt_ricker(_noise(), []), ValueError, "need at least one scale"),
         (lambda: decompose(_noise(), "stft"), TypeError, "unknown decomposition config"),
-        (lambda: reconstruct(dataclasses.replace(wavedec(_noise(), lookup("haar"), 1),
+        (lambda: reconstruct(dataclasses.replace(wavedec(_noise(), DwtConfig("haar", 1)),
                                                  config=None)),
          TypeError, "unknown decomposition config"),
         (lambda: emit_report(ExperimentReport((ReportRow("stft", "x", 1.0, 0.0, 0.0, 0.0, 0.1,
@@ -127,9 +127,8 @@ class TestMalformedInputs:
 
     def test_inverses_reject_another_transforms_coefficients(self, rng):
         s = Signal(rng.normal(size=512), 8000)
-        haar = lookup("haar")
         tfs = {"stft": stft(s, StftConfig(WindowKind.HANN, 64, 32)),
-               "dwt": wavedec(s, haar, 3), "wpt": wpt(s, haar, 3)}
+               "dwt": wavedec(s, DwtConfig("haar", 3)), "wpt": wpt(s, WptConfig("haar", 3))}
         inverses = {"stft": istft, "dwt": waverec, "wpt": iwpt}
         for name, inverse in inverses.items():
             for other, tf in tfs.items():
@@ -142,8 +141,33 @@ class TestMalformedInputs:
         with pytest.raises(ValueError):
             idwt_step(np.zeros(4), np.zeros(5), bank)
 
+    @pytest.mark.parametrize("bands, name, mode, length, message", [
+        (np.ones((3, 4)), "haar", PadMode.PERIODIZATION, None, "1-D bands"),
+        (np.ones(4), "haar", PadMode.PERIODIZATION, 100, r"length must be in \[1, 8\]"),
+        (np.ones(4), "haar", PadMode.PERIODIZATION, -3, r"length must be in \[1, 8\]"),
+        (np.ones(4), "haar", PadMode.ZERO, 0, r"length must be in \[1, 8\]"),
+        (np.ones(2), "db4", PadMode.ZERO, None, r"length must be in \[1, -2\]"),
+    ], ids=["2-d", "too-long", "negative", "zero", "bands-shorter-than-filter"])
+    def test_idwt_step_rejects_what_it_cannot_invert(self, bands, name, mode, length, message):
+        with pytest.raises(ValueError, match=message):
+            idwt_step(bands, bands, lookup(name), mode, length)
+
+    @pytest.mark.parametrize("shape", [(8, 100), (16, 125), (4, 125), (1000,)])
+    def test_iwpt_rejects_coefficients_of_another_shape(self, rng, shape):
+        tf = wpt(Signal(rng.normal(size=1000), 8000), WptConfig("db2", 3))
+        assert tf.coeffs.shape == (8, 125)
+        with pytest.raises(ValueError, match=r"expected WPT coefficients of shape \(8, 125\)"):
+            iwpt(dataclasses.replace(tf, coeffs=np.zeros(shape)))
+
+    @pytest.mark.parametrize("frames", [10, 32, 34])
+    def test_istft_rejects_another_frame_count(self, rng, frames):
+        m = stft(Signal(rng.normal(size=500), 8000), StftConfig(WindowKind.HANN, 32, 16))
+        assert m.coeffs.shape == (17, 33)
+        with pytest.raises(ValueError, match=r"shape \(17, 33\), got \(17, %d\)" % frames):
+            istft(dataclasses.replace(m, coeffs=np.zeros((17, frames), dtype=complex)))
+
     def test_dwt_bands_rejects_wrong_size(self, rng):
-        coeffs = wavedec(Signal(rng.normal(size=64), 8000), lookup("db2"), 2)
+        coeffs = wavedec(Signal(rng.normal(size=64), 8000), DwtConfig("db2", 2))
         with pytest.raises(ValueError):
             dwt_bands(dataclasses.replace(coeffs, coeffs=np.zeros(65)))
 
@@ -186,9 +210,8 @@ class TestRoundTripProperties:
     def test_wavedec_inverts(self, n, family, mode, seed):
         gen = np.random.default_rng(seed)
         s = Signal(gen.normal(size=n), 8000)
-        bank = lookup(family)
         levels = min(3, int(np.log2(n)))
-        back = waverec_like(s, bank, levels, mode)
+        back = waverec(wavedec(s, DwtConfig(family, levels, mode))).samples
         assert np.max(np.abs(back - s.samples)) < 1e-8
 
     @given(st.integers(100, 2000), st.integers(3, 7), st.integers(0, 2 ** 32 - 1))
@@ -200,8 +223,3 @@ class TestRoundTripProperties:
         back = istft(stft(s, cfg))
         err = np.linalg.norm(back.samples - s.samples) / np.linalg.norm(s.samples)
         assert err < 1e-6
-
-
-def waverec_like(s, bank, levels, mode):
-    from tfsep.wavelet import waverec
-    return waverec(wavedec(s, bank, levels, mode)).samples

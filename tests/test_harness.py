@@ -173,7 +173,7 @@ class TestIbmTrial:
             assert abs(scores.stoi - 1.0) < 1e-6
             assert scores.si_sdr == math.inf or scores.si_sdr > 100.0
             assert scores.mse < 1e-12
-            assert scores.decomposition_time > 0.0
+            assert scores.time_s > 0.0
 
     def test_coefficients_released_before_reconstruction(self):
         # reconstruct and the scores must not run on top of every coefficient

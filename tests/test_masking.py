@@ -51,7 +51,7 @@ class TestDispatch:
         frames = 1 + int(np.ceil((4000 + 2 * 256 - 512) / 256))
         assert tf.coeffs.shape == (257, frames)
         ragged = decompose(s, DwtConfig("db3", 4))
-        bands = dwt_bands(wavedec(s, lookup("db3"), 4))
+        bands = dwt_bands(wavedec(s, DwtConfig("db3", 4)))
         assert len(bands) == 5
         assert ragged.coeffs.shape == (sum(b.size for b in bands),)
 

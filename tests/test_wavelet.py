@@ -6,11 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tfsep.signal import PadMode, Signal
-from tfsep.wavelet import (WaveletFilterBank, available_families, central_frequency,
-                           count_vanishing_moments, cqf_highpass, cwt_ricker,
-                           dwt_bands, dwt_heatmap_matrix, dwt_step, gray_permutation,
-                           idwt_step, iwpt, lookup, max_level, qmf_highpass,
-                           scale_to_frequency, verify_pr, wavedec, waverec, wpt)
+from tfsep.wavelet import (DwtConfig, WaveletFilterBank, WptConfig, available_families,
+                           central_frequency, count_vanishing_moments, cqf_highpass,
+                           cwt_ricker, dwt_bands, dwt_heatmap_matrix, dwt_step,
+                           gray_permutation, idwt_step, iwpt, lookup, max_level,
+                           qmf_highpass, scale_to_frequency, verify_pr, wavedec, waverec,
+                           wpt)
 from tfsep.wavelet import _CASCADE_ITERATIONS, _upsample_by
 
 ALL_MODES = [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC]
@@ -153,13 +154,13 @@ class TestDwtStep:
 class TestWavedec:
     def test_six_level_band_lengths(self, rng):
         s = Signal(rng.normal(size=65536), 16000)
-        approx, *details = dwt_bands(wavedec(s, lookup("sym8"), 6))
+        approx, *details = dwt_bands(wavedec(s, DwtConfig("sym8", 6)))
         assert [d.size for d in details[::-1]] == [32768, 16384, 8192, 4096, 2048, 1024]
         assert approx.size == 1024
 
     def test_odd_length_follows_ceil_chain(self, rng):
         s = Signal(rng.normal(size=100), 8000)
-        coeffs = wavedec(s, lookup("db2"), 3)
+        coeffs = wavedec(s, DwtConfig("db2", 3))
         assert [d.size for d in dwt_bands(coeffs)[:0:-1]] == [50, 25, 13]
         back = waverec(coeffs)
         assert np.max(np.abs(back.samples - s.samples)) < 1e-10
@@ -178,7 +179,7 @@ class TestWavedec:
     def test_matches_manual_cascade_exactly(self, rng):
         s = Signal(rng.normal(size=4096), 8000)
         bank = lookup("db5")
-        coeff_approx, *details = dwt_bands(wavedec(s, bank, 4))
+        coeff_approx, *details = dwt_bands(wavedec(s, DwtConfig("db5", 4)))
         approx = s.samples
         for level in range(4):
             approx, detail = dwt_step(approx, bank)
@@ -188,17 +189,16 @@ class TestWavedec:
     def test_level_bounds(self, rng):
         s = Signal(rng.normal(size=100), 8000)
         with pytest.raises(ValueError):
-            wavedec(s, lookup("haar"), 0)
+            wavedec(s, DwtConfig("haar", 0))
         with pytest.raises(ValueError):
-            wavedec(s, lookup("haar"), max_level(100) + 1)
+            wavedec(s, DwtConfig("haar", max_level(100) + 1))
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_roundtrip_all_banks(self, rng, mode):
         s = Signal(rng.normal(size=1024), 8000)
         for name in available_families():
-            bank = lookup(name)
             for levels in (1, 3, 6):
-                coeffs = wavedec(s, bank, levels, mode)
+                coeffs = wavedec(s, DwtConfig(name, levels, mode))
                 back = waverec(coeffs)
                 err = np.max(np.abs(back.samples - s.samples))
                 assert err < 1e-8, (name, mode, levels, err)
@@ -206,26 +206,26 @@ class TestWavedec:
     def test_energy_preserved_with_periodization(self, rng):
         s = Signal(rng.normal(size=4096), 8000)
         for name in ("haar", "db7", "sym12", "coif4"):
-            coeffs = wavedec(s, lookup(name), 5)
+            coeffs = wavedec(s, DwtConfig(name, 5))
             ratio = np.linalg.norm(coeffs.coeffs) / np.linalg.norm(s.samples)
             assert abs(ratio - 1.0) < 1e-8, name
 
 
 class TestFlatten:
     def test_single_level(self):
-        coeffs = wavedec(Signal(np.arange(8.0), 8000), lookup("haar"), 1)
+        coeffs = wavedec(Signal(np.arange(8.0), 8000), DwtConfig("haar", 1))
         approx, detail = dwt_step(np.arange(8.0), lookup("haar"))
         assert np.array_equal(coeffs.coeffs, np.concatenate([approx, detail]))
 
     def test_length_conserved(self, rng):
         s = Signal(rng.normal(size=4096), 8000)
-        coeffs = wavedec(s, lookup("sym8"), 6)
+        coeffs = wavedec(s, DwtConfig("sym8", 6))
         assert coeffs.coeffs.shape == (4096,)
 
     def test_dwt_bands_roundtrip(self, rng):
         s = Signal(rng.normal(size=777), 8000)
         bank = lookup("db3")
-        coeffs = wavedec(s, bank, 4)
+        coeffs = wavedec(s, DwtConfig("db3", 4))
         approx, *details = dwt_bands(coeffs)
         assert np.array_equal(np.concatenate([approx, *details]), coeffs.coeffs)
         ref = s.samples
@@ -287,19 +287,19 @@ class TestGrayOrdering:
 class TestWpt:
     def test_leaf_geometry(self, rng):
         s = Signal(rng.normal(size=65536), 16000)
-        leaves = wpt(s, lookup("sym8"), 6)
+        leaves = wpt(s, WptConfig("sym8", 6))
         assert leaves.coeffs.shape == (64, 1024)
 
     def test_total_coefficients_conserved(self, rng):
         s = Signal(rng.normal(size=1000), 8000)
-        leaves = wpt(s, lookup("haar"), 3)
+        leaves = wpt(s, WptConfig("haar", 3))
         assert leaves.coeffs.shape == (8, 125)
         assert leaves.coeffs.size == 1000
 
     def test_single_level_equals_dwt_step(self, rng):
         x = rng.normal(size=256)
         bank = lookup("db6")
-        leaves = wpt(Signal(x, 8000), bank, 1)
+        leaves = wpt(Signal(x, 8000), WptConfig("db6", 1))
         approx, detail = dwt_step(x, bank)
         assert np.array_equal(leaves.coeffs[0], approx)
         assert np.array_equal(leaves.coeffs[1], detail)
@@ -308,9 +308,8 @@ class TestWpt:
     def test_roundtrip(self, rng, mode):
         s = Signal(rng.normal(size=640), 8000)
         for name in ("haar", "db4", "sym8", "coif5", "db20"):
-            bank = lookup(name)
             for levels in (1, 3, 6):
-                back = iwpt(wpt(s, bank, levels, mode))
+                back = iwpt(wpt(s, WptConfig(name, levels, mode)))
                 err = np.max(np.abs(back.samples - s.samples))
                 assert err < 1e-8, (name, mode, levels, err)
 
@@ -320,7 +319,7 @@ class TestWpt:
         t = np.arange(16384)
         for freq in (430.0, 1700.0, 3333.0, 6100.0):
             s = Signal(np.sin(2 * np.pi * freq * t / rate), rate)
-            leaves = wpt(s, lookup("sym8"), 5)
+            leaves = wpt(s, WptConfig("sym8", 5))
             width = rate / 2 / 32
             assert abs(int(np.argmax((leaves.coeffs ** 2).sum(axis=1)))
                        - int(freq // width)) <= 1, freq
@@ -330,7 +329,7 @@ class TestWpt:
         n = 65536
         t = np.arange(n) / rate
         sweep = np.sin(2 * np.pi * (rate / 2.0) / (2 * t[-1]) * t * t)  # 0 Hz -> Nyquist
-        leaves = wpt(Signal(sweep, rate), lookup("sym8"), 5)
+        leaves = wpt(Signal(sweep, rate), WptConfig("sym8", 5))
         energy = leaves.coeffs ** 2
         # smooth each row a little, then track the ridge position
         kernel = np.ones(9) / 9.0
@@ -339,13 +338,46 @@ class TestWpt:
         assert np.all(np.diff(ridge) > 0)
 
     def test_unregistered_bank_rejected(self, rng):
-        # the inverses look up the bank the config names, so only registered ones invert
-        haar = lookup("haar")
-        mine = WaveletFilterBank("mine", haar.dec_lo, haar.dec_hi, haar.rec_lo, haar.rec_hi, 1)
+        # a config names a registered bank; custom banks work at the step level
         s = Signal(rng.normal(size=64), 8000)
-        for forward, inverse in ((wavedec, waverec), (wpt, iwpt)):
+        for forward, cls in ((wavedec, DwtConfig), (wpt, WptConfig)):
             with pytest.raises(ValueError, match="unknown wavelet 'mine'"):
-                inverse(forward(s, mine, 2))
+                forward(s, cls("mine", 2))
+
+    def test_forwards_keep_their_config(self, rng):
+        s = Signal(rng.normal(size=64), 8000)
+        for forward, cls in ((wavedec, DwtConfig), (wpt, WptConfig)):
+            cfg = cls("db2", 2, PadMode.ZERO)
+            assert forward(s, cfg).config is cfg
+
+    def test_config_of_another_kind_rejected(self, rng):
+        s = Signal(rng.normal(size=64), 8000)
+        with pytest.raises(ValueError, match="expected a DWT representation, got config Wpt"):
+            wavedec(s, WptConfig("haar", 2))
+        with pytest.raises(ValueError, match="expected a WPT representation, got config Dwt"):
+            wpt(s, DwtConfig("haar", 2))
+
+
+class TestCustomBank:
+    """A bank outside the registry has no multi-level transform of its own: a
+    cascade of dwt_step and idwt_step is one."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_step_cascade_roundtrip(self, rng, mode):
+        rec_lo = lookup("db3").rec_lo[::-1]  # time-reversed db3: orthogonal, not registered
+        rec_hi = cqf_highpass(rec_lo)
+        # named after a registered bank with other filters, so no lookup by name may happen
+        bank = WaveletFilterBank("db4", rec_lo[::-1], rec_hi[::-1], rec_lo, rec_hi, 3)
+        assert verify_pr(bank).ok and count_vanishing_moments(bank) == 3
+        x = rng.normal(size=1000)
+        approx, levels = x, []
+        for _ in range(3):
+            n = approx.size
+            approx, detail = dwt_step(approx, bank, mode)
+            levels.append((n, detail))
+        for n, detail in levels[::-1]:
+            approx = idwt_step(approx, detail, bank, mode, length=n)
+        assert np.max(np.abs(approx - x)) < 1e-10
 
 
 class TestVanishingMoments:
@@ -409,15 +441,13 @@ class TestFrequencyMapping:
         assert peak <= 32 << 20
 
     def test_sym8_dyadic_scales_at_16k(self):
-        bank = lookup("sym8")
-        assert abs(scale_to_frequency(bank, 2 ** 4, 16000) - 666.0) <= 10.0
-        assert abs(scale_to_frequency(bank, 2 ** 5, 16000) - 333.0) <= 5.0
+        assert abs(scale_to_frequency("sym8", 2 ** 4, 16000) - 666.0) <= 10.0
+        assert abs(scale_to_frequency("sym8", 2 ** 5, 16000) - 333.0) <= 5.0
 
     def test_doubling_scale_halves_frequency(self):
-        bank = lookup("db6")
         for scale in (1.0, 2.0, 7.0):
-            assert np.isclose(scale_to_frequency(bank, 2 * scale, 8000),
-                              scale_to_frequency(bank, scale, 8000) / 2.0)
+            assert np.isclose(scale_to_frequency("db6", 2 * scale, 8000),
+                              scale_to_frequency("db6", scale, 8000) / 2.0)
 
 
 class TestRickerCwt:
@@ -465,7 +495,7 @@ class TestRickerCwt:
 class TestDwtHeatmap:
     def test_rows_and_width(self, rng):
         s = Signal(rng.normal(size=1000), 8000)
-        coeffs = wavedec(s, lookup("sym8"), 4)
+        coeffs = wavedec(s, DwtConfig("sym8", 4))
         matrix = dwt_heatmap_matrix(coeffs)
         assert matrix.shape == (5, 500)
         # coarse rows are stretched copies of their bands
