@@ -12,7 +12,6 @@ them; `_rfft` writes the spectrum over the buffer it packed the rows into.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -208,18 +207,6 @@ class StftConfig:
     def fft_size(self) -> int:
         """The window size rounded up to the next power of two."""
         return 1 << (self.win_size - 1).bit_length()
-
-    @classmethod
-    def from_milliseconds(cls, window: WindowKind, win_ms: float, hop_ms: float,
-                          rate: int) -> "StftConfig":
-        """Millisecond sizes convert as floor(ms/1000 * rate)."""
-        win, hop = win_ms / 1000.0 * rate, hop_ms / 1000.0 * rate
-        if not (math.isfinite(win) and math.isfinite(hop)):
-            raise ValueError(f"window/hop not finite: {win_ms} ms / {hop_ms} ms at {rate} Hz")
-        win, hop = int(win), int(hop)
-        if win < 2 or hop < 1:
-            raise ValueError(f"window/hop too small: {win_ms} ms / {hop_ms} ms at {rate} Hz")
-        return cls(window, win, hop)
 
 
 def stft_frequencies(fft_size: int, rate: int) -> np.ndarray:

@@ -240,9 +240,17 @@ def wavelet_entry(kind: str, family: str, levels: int,
 
 
 def build_config(entry: GridEntry, rate: int) -> DecompositionConfig:
-    if isinstance(entry.config, tuple):
-        return StftConfig.from_milliseconds(*entry.config, rate)
-    return entry.config
+    """A grid row's configuration at `rate`: milliseconds become floor(ms/1000 * rate) samples."""
+    if not isinstance(entry.config, tuple):
+        return entry.config
+    window, win_ms, hop_ms = entry.config
+    win, hop = win_ms / 1000.0 * rate, hop_ms / 1000.0 * rate
+    if not (math.isfinite(win) and math.isfinite(hop)):
+        raise ValueError(f"window/hop not finite: {win_ms} ms / {hop_ms} ms at {rate} Hz")
+    win, hop = int(win), int(hop)
+    if win < 2 or hop < 1:
+        raise ValueError(f"window/hop too small: {win_ms} ms / {hop_ms} ms at {rate} Hz")
+    return StftConfig(window, win, hop)
 
 
 def _grid_entries(sections: dict) -> list[GridEntry]:
@@ -307,14 +315,23 @@ def _check_grid_section(sect, section: str, path) -> None:
             raise DataError(f"{where}, key {key!r}: {exc}") from None
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def load_grid_file(path) -> list[GridEntry]:
-    """Grid description file: JSON with optional sections
-    stft: {windows, sizes_ms, hop_fractions} and wavelet / wpt:
-    {families, levels[, mode]}. The whole file is checked before any entry
-    is built; anything malformed raises DataError naming the section and key."""
+    """Grid description file: JSON with optional sections stft: {windows,
+    sizes_ms, hop_fractions} and wavelet / wpt: {families, levels[, mode]}.
+    The whole file is checked before any entry is built; a DataError names
+    the section and key of anything malformed, or the key given twice."""
     try:
-        spec = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        spec = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:   # JSONDecodeError and UnicodeDecodeError too
         raise DataError(f"cannot read grid file {path}: {exc}") from exc
     if not isinstance(spec, dict) or spec.keys() - _GRID_KEYS.keys():
         raise DataError(f"grid file {path} must be a JSON object with sections from "

@@ -400,6 +400,27 @@ class TestGridFileChecks:
         assert f"section {section!r}" in err and f"key {key!r}" in err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("raw, fault", [
+        (b'{"wpt": {"families": ["haar"], "levels": [3]},\n'
+         b' "wpt": {"families": ["haar"], "levels": [50]}}', "key 'wpt' is given twice"),
+        (b'{"wpt": {"families": ["haar"], "levels": [3], "levels": [4]}}',
+         "key 'levels' is given twice"),
+        (b'{"wpt": {"families": ["h\xe4ar"], "levels": [3]}}', "codec can't decode"),
+    ], ids=["two-wpt-sections", "levels-twice", "not-utf-8"])
+    def test_unreadable_grid_exits_two_naming_the_file(
+            self, raw, fault, small_corpus, tmp_path, monkeypatch, capsys):
+        def no_mixtures(*args, **kwargs):
+            raise AssertionError("a mixture was built for an unreadable grid")
+
+        monkeypatch.setattr(harness, "make_mixture", no_mixtures)
+        path = tmp_path / "grid.json"
+        path.write_bytes(raw)
+        assert main(["experiment", "--corpus", str(small_corpus), "--grid", str(path),
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"tfsep: cannot read grid file {path}: ") and fault in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_one(self):

@@ -183,7 +183,7 @@ class TestIbmTrial:
         gen = np.random.default_rng(0)
         sources = tuple(Signal(gen.normal(size=16000), 8000) for _ in range(3))
         mix = Mixture(Signal(sum(s.samples for s in sources), 8000), sources, ("a", "b", "c"))
-        cfg = StftConfig.from_milliseconds(WindowKind.HANN, 5.0, 1.25, 8000)
+        cfg = build_config(stft_entry("hann", 5.0, 1.25), 8000)
         size = decompose(mix.mixture, cfg).coeffs.nbytes
         run_ibm_trial(mix, cfg)
         tracemalloc.start()
@@ -226,6 +226,18 @@ class TestGrids:
         full = default_grid(max_levels=14, full_depth=True)
         levels = {e.config.levels for e in full if e.decomposition == "wavelet"}
         assert max(levels) == 14
+
+    def test_milliseconds_floor_to_samples(self):
+        cfg = build_config(stft_entry("hann", 32.0, 16.0), 16000)
+        assert cfg.win_size == 512 and cfg.hop == 256 and cfg.fft_size == 512
+        cfg = build_config(stft_entry("hann", 50.0, 25.0), 16000)
+        assert cfg.win_size == 800 and cfg.fft_size == 1024
+
+    @pytest.mark.parametrize("win_ms, hop_ms", [
+        (math.inf, 16.0), (math.nan, 16.0), (32.0, math.inf), (1e308, 5e307)])
+    def test_non_finite_sample_counts_rejected(self, win_ms, hop_ms):
+        with pytest.raises(ValueError, match="not finite"):
+            build_config(stft_entry("hann", win_ms, hop_ms), 44100)
 
     def test_grid_file(self, tmp_path):
         spec = {

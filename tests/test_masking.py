@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tfsep.fourier import StftConfig, WindowKind
+from tfsep.harness import build_config, stft_entry
 from tfsep.masking import (DwtConfig, WptConfig, add, apply_mask,
                            decompose, ideal_binary_mask, ideal_ratio_mask,
                            reconstruct)
@@ -10,7 +11,7 @@ from tfsep.wavelet import dwt_bands, lookup, wavedec
 
 
 def stft_32ms(rate):
-    return StftConfig.from_milliseconds(WindowKind.HANN, 32.0, 16.0, rate)
+    return build_config(stft_entry("hann", 32.0, 16.0), rate)
 
 
 ALL_CONFIG_BUILDERS = [
