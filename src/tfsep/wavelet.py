@@ -1,4 +1,4 @@
-"""Orthogonal wavelet filter banks and the transforms built on them.
+"""Wavelet filter banks (the registry's are orthogonal) and the transforms built on them.
 
 Covers the registry of embedded filter tables (validated at test time via the
 perfect-reconstruction and vanishing-moment checks rather than trusted),
@@ -19,21 +19,20 @@ from math import ceil, floor, log2
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._filter_tables import SCALING_FILTERS, WAVELET_MOMENTS
+from ._filter_tables import SCALING_FILTERS
 from .signal import PadMode, Signal, TFRepresentation, _in_tap_order, convolve
 
 
 @dataclass(frozen=True)
 class WaveletFilterBank:
-    """Analysis (dec_*) and synthesis (rec_*) FIR quadruple of an orthogonal
-    wavelet, plus the number of vanishing wavelet moments."""
+    """Analysis (dec_*, which dwt_step convolves with) and synthesis (rec_*, idwt_step)
+    filters; the steps round-trip a bank verify_pr passes at delay len(bank) - 1."""
 
     name: str
     dec_lo: np.ndarray
     dec_hi: np.ndarray
     rec_lo: np.ndarray
     rec_hi: np.ndarray
-    vanishing_moments: int
 
     def __post_init__(self):
         for field in ("dec_lo", "dec_hi", "rec_lo", "rec_hi"):
@@ -76,7 +75,6 @@ def lookup(name: str) -> WaveletFilterBank:
         dec_hi=rec_hi[::-1].copy(),
         rec_lo=rec_lo,
         rec_hi=rec_hi,
-        vanishing_moments=WAVELET_MOMENTS[name],
     )
 
 
@@ -144,7 +142,7 @@ def count_vanishing_moments(bank: WaveletFilterBank, max_p: int | None = None,
 # analysis / synthesis kernels over stacks of bands
 
 def _check_mode(mode: PadMode) -> None:
-    """Both kernels implement every PadMode; a mode name is not one."""
+    """Entry points check here that a mode is a PadMode, as the kernels assume."""
     if not isinstance(mode, PadMode):
         raise ValueError(f"unsupported boundary mode {mode!r}")
 
@@ -154,9 +152,6 @@ def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank,
     """One filter-bank step applied to every row of `bands`."""
     k = len(bank)
     n = bands.shape[1]
-    if n == 0:
-        raise ValueError("cannot decompose a zero-length band")
-    _check_mode(mode)
     if mode == PadMode.PERIODIZATION:
         if n % 2:  # odd bands get one zero sample
             bands = np.pad(bands, [(0, 0), (0, 1)])
@@ -166,9 +161,9 @@ def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank,
         pad_kw = {} if mode == PadMode.ZERO else {"mode": "symmetric"}
         ext = np.pad(bands, [(0, 0), (k - 1, k - 1)], **pad_kw)
         phase = 1
-    # correlation with the synthesis filters == convolution with dec_lo/dec_hi
+    # each window times the reversed taps: convolution with dec_lo/dec_hi
     windows = sliding_window_view(ext, k, axis=1)[:, phase::2][:, :_band_length(n, k, mode)]
-    return windows @ _in_tap_order(bank.rec_lo), windows @ _in_tap_order(bank.rec_hi)
+    return windows @ _in_tap_order(bank.dec_lo[::-1]), windows @ _in_tap_order(bank.dec_hi[::-1])
 
 
 def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
@@ -176,9 +171,6 @@ def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
     """Inverse of _analysis_pair, trimmed to out_len columns."""
     k = len(bank)
     rows, m = lo.shape
-    if m == 0:
-        raise ValueError("cannot reconstruct from zero-length bands")
-    _check_mode(mode)
     # hi[0], lo[0], hi[1], lo[1], ... between k - 2 zeros in front and k behind,
     # read backwards: window j holds lo[j], hi[j], lo[j-1], hi[j-1], ..., every
     # term of outputs 2j and 2j+1 in the order the taps meet them
@@ -211,6 +203,9 @@ def dwt_step(x, bank: WaveletFilterBank,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"dwt_step expects a 1-D signal, got shape {x.shape}")
+    if x.size == 0:
+        raise ValueError("cannot decompose a zero-length band")
+    _check_mode(mode)
     lo, hi = _analysis_pair(x[np.newaxis], bank, mode)
     return lo[0], hi[0]
 
@@ -219,6 +214,7 @@ def idwt_step(approx, detail, bank: WaveletFilterBank,
               mode: PadMode = PadMode.PERIODIZATION, length: int | None = None) -> np.ndarray:
     """Inverse of dwt_step for one pair of 1-D bands. `length`, from 1 to the
     natural output length of the chosen mode (the default), trims the result."""
+    _check_mode(mode)
     approx = np.asarray(approx, dtype=np.float64)
     detail = np.asarray(detail, dtype=np.float64)
     if approx.ndim != 1 or approx.shape != detail.shape:

@@ -116,7 +116,7 @@ def test_criterion_04_perfect_reconstruction_checks():
     tampered = haar.dec_hi.copy()
     tampered[0] *= 1.01
     broken = WaveletFilterBank("haar-1pct", haar.dec_lo, tampered,
-                               haar.rec_lo, haar.rec_hi, 1)
+                               haar.rec_lo, haar.rec_hi)
     assert not verify_pr(broken, 1e-8).ok
     _report(4, f"all {len(available_families())} banks pass at 1e-8; "
                "1%-perturbed haar fails")

@@ -174,9 +174,9 @@ class TestMalformedInputs:
     def test_filter_bank_requires_equal_lengths(self):
         from tfsep.wavelet import WaveletFilterBank
         with pytest.raises(ValueError):
-            WaveletFilterBank("odd", np.ones(4), np.ones(3), np.ones(4), np.ones(4), 1)
+            WaveletFilterBank("odd", np.ones(4), np.ones(3), np.ones(4), np.ones(4))
         with pytest.raises(ValueError, match="even"):  # the synthesis windows pair taps
-            WaveletFilterBank("odd", np.ones(3), np.ones(3), np.ones(3), np.ones(3), 1)
+            WaveletFilterBank("odd", np.ones(3), np.ones(3), np.ones(3), np.ones(3))
 
 
 class TestGridExtras:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tfsep._filter_tables import WAVELET_MOMENTS
 from tfsep.signal import PadMode, Signal
 from tfsep.wavelet import (DwtConfig, WaveletFilterBank, WptConfig, available_families,
                            central_frequency, count_vanishing_moments, cqf_highpass,
@@ -42,9 +43,9 @@ class TestRegistry:
 
     def test_registered_moments_are_measured(self):
         for name in available_families():
-            bank = lookup(name)
-            measured = count_vanishing_moments(bank, max_p=bank.vanishing_moments)
-            assert measured == bank.vanishing_moments, name
+            expected = WAVELET_MOMENTS[name]
+            measured = count_vanishing_moments(lookup(name), max_p=expected)
+            assert measured == expected, name
 
 
 class TestQmfCqf:
@@ -84,7 +85,7 @@ class TestPerfectReconstruction:
         broken = haar.dec_hi.copy()
         broken[0] += 0.01
         bank = WaveletFilterBank("broken", haar.dec_lo, broken, haar.rec_lo,
-                                 haar.rec_hi, 1)
+                                 haar.rec_hi)
         assert not verify_pr(bank, 1e-8).ok
 
     def test_tolerance_must_be_positive(self):
@@ -367,7 +368,7 @@ class TestCustomBank:
         rec_lo = lookup("db3").rec_lo[::-1]  # time-reversed db3: orthogonal, not registered
         rec_hi = cqf_highpass(rec_lo)
         # named after a registered bank with other filters, so no lookup by name may happen
-        bank = WaveletFilterBank("db4", rec_lo[::-1], rec_hi[::-1], rec_lo, rec_hi, 3)
+        bank = WaveletFilterBank("db4", rec_lo[::-1], rec_hi[::-1], rec_lo, rec_hi)
         assert verify_pr(bank).ok and count_vanishing_moments(bank) == 3
         x = rng.normal(size=1000)
         approx, levels = x, []
@@ -378,6 +379,47 @@ class TestCustomBank:
         for n, detail in levels[::-1]:
             approx = idwt_step(approx, detail, bank, mode, length=n)
         assert np.max(np.abs(approx - x)) < 1e-10
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_biorthogonal_roundtrip(self, rng, mode):
+        # CDF 5/3 (bior2.2), every filter zero-padded to 6 taps: analysis and
+        # synthesis differ, so each step has to apply its own pair
+        dec_lo = SQRT2 / 8 * np.array([0, -1, 2, 6, 2, -1])
+        dec_hi = SQRT2 / 4 * np.array([0, 1, -2, 1, 0, 0])
+        rec_lo = SQRT2 / 4 * np.array([0, 1, 2, 1, 0, 0])
+        rec_hi = SQRT2 / 8 * np.array([0, 1, 2, -6, 2, 1])
+        bank = WaveletFilterBank("bior2.2", dec_lo, dec_hi, rec_lo, rec_hi)
+        assert verify_pr(bank).ok
+        x = rng.normal(size=64)
+        approx, detail = dwt_step(x, bank, mode)
+        assert np.max(np.abs(idwt_step(approx, detail, bank, mode) - x)) < 1e-10
+
+    def test_tampered_analysis_does_not_roundtrip(self, rng):
+        # criterion 4's bank: verify_pr rejects it, and the steps agree
+        haar = lookup("haar")
+        tampered = haar.dec_hi.copy()
+        tampered[0] *= 1.01
+        bank = WaveletFilterBank("haar-1pct", haar.dec_lo, tampered, haar.rec_lo, haar.rec_hi)
+        x = rng.normal(size=64)
+        approx, detail = dwt_step(x, bank)
+        assert np.max(np.abs(idwt_step(approx, detail, bank) - x)) > 1e-3
+
+    def test_analysis_reads_dec_hi(self):
+        # no vanishing moment: a constant leaves a detail of the taps' sum
+        haar = lookup("haar")
+        bank = WaveletFilterBank("unbalanced", haar.dec_lo, np.array([0.75, -0.65]),
+                                 haar.rec_lo, haar.rec_hi)
+        assert count_vanishing_moments(bank) == 0
+        _, detail = dwt_step(np.ones(8), bank)
+        assert np.allclose(detail, 0.1)
+
+    def test_registered_analysis_is_reversed_synthesis(self):
+        # bit for bit, so the analysis step multiplies by the same taps in the
+        # same order as when it read rec_* directly
+        for name in available_families():
+            bank = lookup(name)
+            assert np.array_equal(bank.dec_lo, bank.rec_lo[::-1]), name
+            assert np.array_equal(bank.dec_hi, bank.rec_hi[::-1]), name
 
 
 class TestVanishingMoments:
@@ -392,7 +434,7 @@ class TestVanishingMoments:
         haar = lookup("haar")
         hi = np.array([0.75, -0.65])  # taps sum to 0.1
         bank = WaveletFilterBank("unbalanced", haar.dec_lo, hi, haar.rec_lo,
-                                 haar.rec_hi, 0)
+                                 haar.rec_hi)
         assert count_vanishing_moments(bank) == 0
 
 
