@@ -7,11 +7,12 @@ Run from a tfsep checkout:
         --out BENCH_<n>.json stft_sweep:10 paper_grid:3 score_pairs:3
 
 Each side is extracted with `git archive` into its own directory under a
-temporary directory: --before and --after name git revisions, and WORKTREE
-stands for the files of the working tree that .gitignore does not exclude,
-committed or not. Every workload argument NAME:PAIRS gets PAIRS pairs of
-runs, pair i with seed SEED_START + i, both sides on the same seed. The side
-that runs first alternates from pair to pair. Each run is that side's own
+temporary directory, the two paths of one length: --before and --after name
+git revisions, and WORKTREE stands for the files of the working tree that
+.gitignore does not exclude, committed or not. Every workload argument
+NAME:PAIRS gets PAIRS pairs of runs, pair i with seed SEED_START + i, both
+sides on the same seed. The side that runs first alternates from pair to
+pair. Each run is that side's own
 `perfbench/run.py --workload NAME --seed S` at the run length run.py sets,
 and the last line it prints is parsed as its result.
 
@@ -133,8 +134,9 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         checkouts = {}
-        for label, side in sides.items():
-            checkouts[label] = Path(tmp) / label
+        # paths of one length: perfbench's peak RSS moves with the checkout's path
+        for i, (label, side) in enumerate(sides.items()):
+            checkouts[label] = Path(tmp) / f"side{i}"
             _extract(repo, side["tree"], checkouts[label])
         for name, count in plan:
             pairs = []

@@ -57,9 +57,10 @@ def _butterfly(top, bottom, tw, plus, minus):
     np.subtract(top, minus, out=minus)
 
 
-def _fft_core(x: np.ndarray, sign: float) -> np.ndarray:
+def _fft_core(x: np.ndarray, sign: float, out: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized DFT sum_n x[n] exp(sign*2*pi*i*k*n/N) along the last axis,
-    N a power of two, as a new C-contiguous complex128 array; x is only read.
+    N a power of two, as a new C-contiguous complex128 array, or written into
+    `out` (complex128, x's shape), which may be x itself; x is otherwise only read.
 
     A Stockham autosort in radix-4 steps, after one radix-2 step when log2 N
     is odd. Each radix-4 step is its two radix-2 levels with their own
@@ -69,11 +70,12 @@ def _fft_core(x: np.ndarray, sign: float) -> np.ndarray:
     viewed as (N/L, L, cols) holds at [r, k] the L-point DFT of each row's
     samples r, r + N/L, r + 2N/L, ... at frequency k. Two chunk buffers
     ping-pong: a radix-4 step writes its first level into the other buffer
-    and its second back over the one it read.
+    and its second back over the one it read. A chunk's rows are copied in
+    before its results are copied out, so `out` may be the rows read.
     """
     n = x.shape[-1]
     rows = x.reshape(-1, n)
-    out = np.empty(rows.shape, dtype=np.complex128)
+    dest = np.empty(rows.shape, dtype=np.complex128) if out is None else out.reshape(rows.shape)
     cols = max(1, min(_CHUNK_POINTS // n, rows.shape[0]))
     odd = (n.bit_length() - 1) % 2
     first = _twiddles(1, sign) if odd else None
@@ -95,8 +97,8 @@ def _fft_core(x: np.ndarray, sign: float) -> np.ndarray:
             d = src.reshape(q, 4, step, b)
             _butterfly(s[:q], s[q:], tw2[:step], d[:, 0], d[:, 2])
             _butterfly(t[:q], t[q:], tw2[step:], d[:, 1], d[:, 3])
-        np.copyto(out[lo:lo + b], src.T)
-    return out.reshape(x.shape)
+        np.copyto(dest[lo:lo + b], src.T)
+    return dest.reshape(x.shape)
 
 
 def fft(x) -> np.ndarray:
@@ -127,29 +129,34 @@ def _half_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
 
 
-def _rfft(frames: np.ndarray, n: int) -> np.ndarray:
-    """DFT bins 0..n/2 of each real row of the matrix `frames`, zero-padded
-    to n points (n a power of two, at least 2 and at least the row width),
-    one row of bins per frame.
+def _rfft(frames: np.ndarray, n: int, window=1.0) -> np.ndarray:
+    """DFT bins 0..n/2 of each real row of the matrix `frames` times `window`,
+    zero-padded to n points (n a power of two, at least 2 and at least the
+    row width), one row of bins per frame.
 
     The n/2-point transform Z of z[j] = x[2j] + i x[2j+1] gives
     X[k] = A[k] Z[k] + B[k] conj(Z[n/2 - k]), indices mod n/2, with the
     half-twiddles A, B of `_half_twiddles`. The packed rows z are the
-    float64 view of a complex row, so the frames are copied in as they are;
-    the spectrum is then written over the buffer they were packed into.
+    float64 view of a complex row, so the windowed frames are written
+    straight into it; Z is written over z, and the spectrum over Z, a block
+    of rows at a time.
     """
     rows, width = frames.shape
     m = n // 2
     spec = np.zeros((rows, m + 1), dtype=np.complex128)
-    spec.view(np.float64)[:, :width] = frames
-    z = _fft_core(spec[:, :m], -1.0)
+    np.multiply(frames, window, out=spec.view(np.float64)[:, :width])
+    _fft_core(spec[:, :m], -1.0, out=spec[:, :m])
     a, b = _half_twiddles(n)
-    np.conjugate(z[:, :1], out=spec[:, :1])
-    np.conjugate(z[:, ::-1], out=spec[:, 1:])    # conj Z[n/2 - k] for k = 1..n/2
-    spec *= b
-    spec[:, m] += z[:, 0] * a[m]
-    z *= a[:m]
-    spec[:, :m] += z
+    block = max(1, _CHUNK_POINTS // m)
+    for lo in range(0, rows, block):
+        x = spec[lo:lo + block]
+        z = x[:, :m].copy()
+        np.conjugate(z[:, :1], out=x[:, :1])
+        np.conjugate(z[:, ::-1], out=x[:, 1:])    # conj Z[n/2 - k] for k = 1..n/2
+        x *= b
+        x[:, m] += z[:, 0] * a[m]
+        z *= a[:m]
+        x[:, :m] += z
     return spec
 
 
@@ -159,19 +166,23 @@ def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
     real inverse.
 
     Inverts `_rfft`'s packing: Z[k] = conj(A[k]) X[k] + conj(B[k]) conj(X[n/2 - k])
-    for k < n/2, then one inverse n/2-point transform gives x[2j] + i x[2j+1],
-    whose float64 view is the row of samples.
+    for k < n/2, a block of rows at a time, then one inverse n/2-point
+    transform over Z gives x[2j] + i x[2j+1], whose float64 view is the row
+    of samples.
     """
     m = n // 2
-    a, b = _half_twiddles(n)
+    ca, cb = np.conjugate(_half_twiddles(n))[:, 1:m]
     z = np.empty((spec.shape[0], m), dtype=np.complex128)
-    np.multiply(spec[:, 1:m], np.conjugate(a[1:m]), out=z[:, 1:])
-    mirror = np.conjugate(spec[:, m - 1:0:-1])
-    mirror *= np.conjugate(b[1:m])
-    z[:, 1:] += mirror
+    block = max(1, _CHUNK_POINTS // m)
+    for lo in range(0, spec.shape[0], block):
+        x, zb = spec[lo:lo + block], z[lo:lo + block, 1:]
+        np.multiply(x[:, 1:m], ca, out=zb)
+        mirror = np.conjugate(x[:, m - 1:0:-1])
+        mirror *= cb
+        zb += mirror
     dc, nyquist = spec[:, 0].real, spec[:, m].real
     z[:, 0] = 0.5 * (dc + nyquist) + 0.5j * (dc - nyquist)
-    samples = _fft_core(z, 1.0).view(np.float64)
+    samples = _fft_core(z, 1.0, out=z).view(np.float64)
     samples /= m
     return samples
 
@@ -227,11 +238,11 @@ def _frame_count(n: int, cfg: StftConfig) -> int:
 
 
 # frames x fft_size of one STFT, 8.5x the largest default-grid STFT of a 12 s,
-# 44.1 kHz recording (100 ms, 25 ms hop). The tracemalloc peaks of stft and of
-# istft at 2^21 and 2^22 points, each call building its own twiddle tables: about
-# 25 bytes per point for 2^5- to 2^16-point FFTs (three frame-sized arrays at once;
-# istft 33 when hop == window), so 800 MiB at this limit; up to 40 (stft) and 48
-# (istft) for 2-point FFTs or 2 frames of 2^20 points, so up to 1.5 GiB.
+# 44.1 kHz recording (100 ms, 25 ms hop). The tracemalloc peaks of stft (result
+# included) and istft at 2^21 and 2^22 points: 10 and 14 bytes per point for 2^5-
+# to 2^16-point FFTs at a quarter-window hop (one frame-sized array each), so 320
+# and 450 MiB at this limit; 16 and 33 when hop == window; up to 36 and 48 for 2
+# frames of 2^20 points (the chunk buffers), so up to 1.5 GiB.
 STFT_MAX_POINTS = 1 << 25
 
 
@@ -253,31 +264,32 @@ def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
         raise ValueError(f"STFT too large: {n_frames} frames x {cfg.fft_size} FFT points "
                          f"exceeds {STFT_MAX_POINTS} points")
     tail = (n_frames - 1) * cfg.hop + cfg.win_size - edge - len(s)
-    frames = np.multiply(_frame(np.pad(s.samples, (edge, tail)), cfg.win_size, cfg.hop),
-                         make_window(cfg.window, cfg.win_size))
-    return TFRepresentation(_rfft(frames, cfg.fft_size).T, cfg, s.rate, len(s))
+    spec = _rfft(_frame(np.pad(s.samples, (edge, tail)), cfg.win_size, cfg.hop), cfg.fft_size,
+                 make_window(cfg.window, cfg.win_size))
+    return TFRepresentation(spec.T, cfg, s.rate, len(s))
 
 
 def _overlap_add(frames: np.ndarray, window: np.ndarray, hop: int):
     """num[t*hop + j] = sum over t of frames[t, j] * window[j], and den the
     same sum of window[j]**2, over (frames - 1)*hop + width samples.
 
-    The weighted frames are cut into hop-wide blocks; block b of frame t
-    lands in row t + b of a (frames + blocks) x hop accumulator. Adding the
-    last block first gives every sample its frames in ascending t, so the
-    sums are bit-identical to adding one frame at a time.
+    The frames are cut into hop-wide blocks; block b of frame t, times its
+    part of the window, lands in row t + b of a (frames + blocks) x hop
+    accumulator. Adding the last block first gives every sample its frames
+    in ascending t, so the sums are bit-identical to adding one frame at a
+    time.
     """
     n_frames, width = frames.shape
     blocks = -(-width // hop)
-    weighted = np.zeros((n_frames, blocks * hop))
-    np.multiply(frames, window, out=weighted[:, :width])
     squares = np.zeros(blocks * hop)
     squares[:width] = window * window
     num = np.zeros((n_frames + blocks, hop))
     den = np.zeros((n_frames + blocks, hop))
+    products = np.empty((n_frames, hop))
     for blk in range(blocks - 1, -1, -1):
         cols = slice(blk * hop, (blk + 1) * hop)
-        num[blk:blk + n_frames] += weighted[:, cols]
+        part = np.multiply(frames[:, cols], window[cols], out=products[:, :window[cols].size])
+        num[blk:blk + n_frames, :part.shape[1]] += part
         den[blk:blk + n_frames] += squares[cols]
     total = (n_frames - 1) * hop + width
     return num.reshape(-1)[:total], den.reshape(-1)[:total]

@@ -174,14 +174,17 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
     Interference is the coefficient-wise sum of the other sources'
     decompositions (the magnitude of the sum, not the sum of magnitudes).
     """
+    # each coefficient array goes after its last read: the sources' once the mask is
+    # built, before the mixture's timed forward (time_s is that forward plus the inverse)
+    target_tf = decompose(mix.sources[0], cfg)
+    interference = reduce(add, (decompose(src, cfg) for src in mix.sources[1:]))
+    mask = ideal_binary_mask(target_tf, interference)
+    del target_tf, interference
     t0 = perf_counter()
     mixture_tf = decompose(mix.mixture, cfg)
     elapsed = perf_counter() - t0
-    target_tf, *other_tfs = [decompose(src, cfg) for src in mix.sources]
-    masked = apply_mask(mixture_tf, ideal_binary_mask(target_tf, reduce(add, other_tfs)))
-    # release each coefficient array after its last read, so that reconstruct and the
-    # scores do not run on top of all of them
-    del mixture_tf, target_tf, other_tfs
+    masked = apply_mask(mixture_tf, mask)
+    del mixture_tf, mask
     t0 = perf_counter()
     estimate = reconstruct(masked)
     elapsed += perf_counter() - t0

@@ -147,9 +147,10 @@ def _check_mode(mode: PadMode) -> None:
         raise ValueError(f"unsupported boundary mode {mode!r}")
 
 
-def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank,
-                   mode: PadMode) -> tuple[np.ndarray, np.ndarray]:
-    """One filter-bank step applied to every row of `bands`."""
+def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank, mode: PadMode,
+                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One filter-bank step applied to every row of `bands`: (lo, hi), new
+    arrays, or the views out[:, 0] and out[:, 1] of a (rows, 2, m) `out`."""
     k = len(bank)
     n = bands.shape[1]
     if mode == PadMode.PERIODIZATION:
@@ -163,7 +164,9 @@ def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank,
         phase = 1
     # each window times the reversed taps: convolution with dec_lo/dec_hi
     windows = sliding_window_view(ext, k, axis=1)[:, phase::2][:, :_band_length(n, k, mode)]
-    return windows @ _in_tap_order(bank.dec_lo[::-1]), windows @ _in_tap_order(bank.dec_hi[::-1])
+    lo, hi = (None, None) if out is None else (out[:, 0], out[:, 1])
+    return (np.matmul(windows, _in_tap_order(bank.dec_lo[::-1]), out=lo),
+            np.matmul(windows, _in_tap_order(bank.dec_hi[::-1]), out=hi))
 
 
 def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
@@ -330,8 +333,9 @@ def wpt(s: Signal, cfg: WptConfig) -> TFRepresentation:
     bank = _registered_bank(cfg, WptConfig, len(s))
     bands = s.samples[np.newaxis]
     for _ in range(cfg.levels):
-        lo, hi = _analysis_pair(bands, bank, cfg.mode)
-        bands = np.stack([lo, hi], axis=1).reshape(2 * lo.shape[0], lo.shape[1])
+        pairs = np.empty((len(bands), 2, _band_length(bands.shape[1], len(bank), cfg.mode)))
+        _analysis_pair(bands, bank, cfg.mode, out=pairs)
+        bands = pairs.reshape(2 * len(pairs), -1)
     ordered = np.empty_like(bands)
     ordered[gray_permutation(cfg.levels)] = bands
     return TFRepresentation(ordered, cfg, s.rate, len(s))

@@ -1,7 +1,8 @@
 """Differential tests: the FFT, the real-input FFT, the STFT and the resampler
 against independent oracles (numpy.fft and scipy.signal, used here only, never
-by the package); the FFT core, the overlap-add and the wavelet filter-bank
-kernels against frozen earlier implementations, bit for bit; and
+by the package); the FFT core, the overlap-add, the real-FFT path of
+stft/istft and the wavelet filter-bank kernels against frozen earlier
+implementations, bit for bit; and
 decompose -> reconstruct for the wavelet configs at the edges of their range:
 odd lengths, every depth up to max_level, all three boundary modes."""
 import re
@@ -13,8 +14,9 @@ import pytest
 from scipy.signal import resample_poly
 
 import tfsep
-from tfsep.fourier import (_CHUNK_POINTS, StftConfig, WindowKind, _fft_core, _irfft,
-                           _overlap_add, _rfft, fft, ifft, make_window, stft)
+from tfsep.fourier import (_CHUNK_POINTS, StftConfig, WindowKind, _fft_core, _frame,
+                           _frame_count, _half_twiddles, _irfft, _overlap_add, _rfft, fft,
+                           ifft, istft, make_window, stft)
 from tfsep.masking import DwtConfig, WptConfig, decompose, reconstruct
 from tfsep.signal import PadMode, Signal, resample
 from tfsep.wavelet import _analysis_pair, _synthesis_pair, lookup, max_level
@@ -134,6 +136,99 @@ def test_overlap_add_matches_per_frame_oracle_bit_for_bit(n_frames, win, hop, nf
     assert size == (n_frames - 1) * hop + win
     assert _bit_identical(num, ref_num[:size]) and _bit_identical(den, ref_den[:size])
     assert _bit_identical(ref_num[size:], np.zeros(nfft - win))
+
+
+def _frozen_rfft(frames, n):
+    """stft's earlier real FFT: the frames copied into a packed buffer, a
+    separate transform output, and the half-twiddle unpack over all rows."""
+    rows, width = frames.shape
+    m = n // 2
+    spec = np.zeros((rows, m + 1), dtype=np.complex128)
+    spec.view(np.float64)[:, :width] = frames
+    z = _fft_core(spec[:, :m], -1.0)
+    a, b = _half_twiddles(n)
+    np.conjugate(z[:, :1], out=spec[:, :1])
+    np.conjugate(z[:, ::-1], out=spec[:, 1:])
+    spec *= b
+    spec[:, m] += z[:, 0] * a[m]
+    z *= a[:m]
+    spec[:, :m] += z
+    return spec
+
+
+def _frozen_irfft(spec, n):
+    """istft's earlier real inverse: a whole-matrix mirror term and a
+    separate transform output."""
+    m = n // 2
+    a, b = _half_twiddles(n)
+    z = np.empty((spec.shape[0], m), dtype=np.complex128)
+    np.multiply(spec[:, 1:m], np.conjugate(a[1:m]), out=z[:, 1:])
+    mirror = np.conjugate(spec[:, m - 1:0:-1])
+    mirror *= np.conjugate(b[1:m])
+    z[:, 1:] += mirror
+    dc, nyquist = spec[:, 0].real, spec[:, m].real
+    z[:, 0] = 0.5 * (dc + nyquist) + 0.5j * (dc - nyquist)
+    samples = _fft_core(z, 1.0).view(np.float64)
+    samples /= m
+    return samples
+
+
+def _frozen_overlap_add(frames, window, hop):
+    """istft's earlier overlap-add: a weighted copy of every frame, folded."""
+    n_frames, width = frames.shape
+    blocks = -(-width // hop)
+    weighted = np.zeros((n_frames, blocks * hop))
+    np.multiply(frames, window, out=weighted[:, :width])
+    squares = np.zeros(blocks * hop)
+    squares[:width] = window * window
+    num = np.zeros((n_frames + blocks, hop))
+    den = np.zeros((n_frames + blocks, hop))
+    for blk in range(blocks - 1, -1, -1):
+        cols = slice(blk * hop, (blk + 1) * hop)
+        num[blk:blk + n_frames] += weighted[:, cols]
+        den[blk:blk + n_frames] += squares[cols]
+    total = (n_frames - 1) * hop + width
+    return num.reshape(-1)[:total], den.reshape(-1)[:total]
+
+
+def _frozen_stft_istft(x, cfg):
+    """The coefficients and the samples (or None where istft must raise) of
+    the earlier stft and istft."""
+    edge, win = cfg.win_size // 2, cfg.win_size
+    n_frames = _frame_count(x.size, cfg)
+    tail = (n_frames - 1) * cfg.hop + win - edge - x.size
+    window = make_window(cfg.window, win)
+    frames = np.multiply(_frame(np.pad(x, (edge, tail)), win, cfg.hop), window)
+    coeffs = _frozen_rfft(frames, cfg.fft_size).T
+    num, den = _frozen_overlap_add(_frozen_irfft(coeffs.T, cfg.fft_size)[:, :win], window,
+                                   cfg.hop)
+    num, den = num[edge:edge + x.size], den[edge:edge + x.size]
+    return coeffs, None if np.any(den < 1e-12) else num / den
+
+
+# stft writes the windowed frames straight into the packed buffer and
+# transforms in place; istft builds its mirror term per row block and adds
+# products into the overlap-add directly. None of it may move a bit.
+@pytest.mark.parametrize("win", [2, 3, 5, 8, 40, 100, 257, 512, 800, 1024])
+def test_stft_and_istft_match_the_frozen_real_fft_path_bit_for_bit(win, rng):
+    for n in (1, 2, 3, 17, 1001, 4000, 16000):
+        x = rng.normal(size=n)
+        x[::7] = -0.0                         # signed zeros reach the packed rows
+        for hop in sorted({1, 2, max(1, win // 4), max(1, win // 2), max(1, 3 * win // 4), win}):
+            for kind in WindowKind:
+                cfg = StftConfig(kind, win, hop)
+                if _frame_count(n, cfg) * cfg.fft_size > 1 << 20:
+                    continue
+                ref_coeffs, ref_samples = _frozen_stft_istft(x, cfg)
+                tf = stft(Signal(x, 8000), cfg)
+                case = (n, win, hop, kind)
+                assert _bit_identical(tf.coeffs.real, ref_coeffs.real), case
+                assert _bit_identical(tf.coeffs.imag, ref_coeffs.imag), case
+                if ref_samples is None:
+                    with pytest.raises(ValueError, match="uncovered"):
+                        istft(tf)
+                else:
+                    assert _bit_identical(istft(tf).samples, ref_samples), case
 
 
 @pytest.mark.parametrize("window", list(WindowKind))

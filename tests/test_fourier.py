@@ -90,6 +90,43 @@ class TestScratch:
             tracemalloc.stop()
         assert peak - out.nbytes <= 1 << 20
 
+    @pytest.mark.parametrize("shape", [(3, 8), (2 * (1 << 14) // 256 + 3, 256), (5, 1 << 15)])
+    def test_fft_core_over_its_own_rows(self, rng, shape):
+        # stft and istft transform in place, in strided views, across several chunks
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for sign in (-1.0, 1.0):
+            buf = np.zeros((shape[0], shape[1] + 1), dtype=np.complex128)
+            rows = buf[:, :-1]
+            rows[...] = x
+            _fft_core(rows, sign, out=rows)
+            ref = _fft_core(x, sign)
+            assert np.array_equal(rows.view(np.float64), ref.view(np.float64))
+            assert np.all(buf[:, -1] == 0)
+
+    # 12 s at 8 kHz under the default grid's densest STFT (5 ms window, 1.25 ms
+    # hop): the windowed frames go straight into the result's buffer and are
+    # transformed there, so stft holds about 0.3x its result besides it (the
+    # padded signal, the chunk buffers, one row block); istft holds one
+    # transform buffer of about the coefficients' size, plus the overlap-add
+    # sums, about 1.3x its input.
+    def test_stft_and_istft_scratch_beyond_output(self, rng):
+        s = Signal(rng.normal(size=12 * 8000), 8000)
+        cfg = build_config(stft_entry("hann", 5.0, 1.25), 8000)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tf = stft(s, cfg)
+            stft_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            back = istft(tf)
+            istft_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        size = tf.coeffs.nbytes
+        assert stft_peak - size <= 0.5 * size, stft_peak / size
+        assert istft_peak - back.samples.nbytes <= 1.5 * size, istft_peak / size
+
 
 class TestInputsUntouched:
     """The transforms only read their input: it stays bit-unchanged and shares
