@@ -142,22 +142,15 @@ def dot(x, y) -> float:
     return float(np.sum(x * y))
 
 
-def _in_tap_order(taps: np.ndarray) -> np.ndarray:
-    """`taps` behind a negative stride. numpy's matmul then takes its own loop,
-    which adds the products in tap order, rather than BLAS, whose order
-    depends on the CPU's kernel and whose fused multiply-adds would leave
-    residues where the per-tap sums are exact."""
-    return taps[::-1].copy()[::-1]
-
-
 _SINC_HALF = 32  # 64-tap kernel per output sample
 
 
 def resample(s: Signal, to_rate: int) -> Signal:
     """Rational windowed-sinc resampling to to_rate Hz, in polyphase form:
     each of the `up` output phases has one 64-tap Hann-windowed sinc kernel,
-    applied as one matrix-vector product over a strided view of the input,
-    so memory stays proportional to the input and output lengths.
+    applied by one einsum over a strided view of the input, so memory stays
+    proportional to the input and output lengths. einsum sums as the wavelet
+    kernels do, in the same order on every CPU.
 
     Duration is preserved within one sample. Resampling to the input rate
     returns the input unchanged.
@@ -189,5 +182,5 @@ def resample(s: Signal, to_rate: int) -> Signal:
         kern = 2.0 * cutoff * np.sinc(2.0 * cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / half))
         kern /= kern.sum()
         count = len(range(phase, n_out, up))
-        out[phase::up] = windows[base + 1::down][:count] @ _in_tap_order(kern)
+        np.einsum("jk,k->j", windows[base + 1::down][:count], kern, out=out[phase::up])
     return Signal(out, to_rate)

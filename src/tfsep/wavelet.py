@@ -7,8 +7,12 @@ packet transform with frequency ordering, moment counting, central-frequency
 estimation by filter cascading, and the Ricker continuous transform.
 
 The analysis/synthesis kernels operate on stacks of bands (2-D arrays): each
-is two products of a strided window view with the taps, so a packet level
-costs the same few numpy calls however many bands it holds.
+is two einsum products of a strided window view with the taps, so a packet
+level costs the same few numpy calls however many bands it holds. einsum
+(optimize=False, so never BLAS) sums each window against contiguous taps in
+its dot-product loop, which numpy builds for its baseline SIMD only: the
+products go into two lanes in an order fixed by the code, so every row gets
+the same bits on any CPU and alone or stacked.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._filter_tables import SCALING_FILTERS
-from .signal import PadMode, Signal, TFRepresentation, _in_tap_order, convolve
+from .signal import PadMode, Signal, TFRepresentation, convolve
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,9 @@ def verify_pr(bank: WaveletFilterBank, tol: float = 1e-8) -> PrCheck:
     """Check the two perfect-reconstruction conditions.
 
     No distortion: the z-domain product of analysis and synthesis pairs must
-    be a single coefficient of value 2 at some delay. Alias cancellation: the
-    same product with the analysis filters sign-alternated must vanish.
+    be a single coefficient of value 2 at delay len(bank) - 1, the delay
+    dwt_step and idwt_step invert. Alias cancellation: the same product with
+    the analysis filters sign-alternated must vanish.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -104,10 +109,9 @@ def verify_pr(bank: WaveletFilterBank, tol: float = 1e-8) -> PrCheck:
           + np.convolve(qmf_highpass(bank.dec_hi), bank.rec_hi))
     alias_error = float(np.max(np.abs(p2)))
 
-    delay = int(np.argmax(np.abs(p1)))
+    delay = len(bank) - 1
     rest = np.delete(p1, delay)
-    distortion_error = max(float(abs(p1[delay] - 2.0)),
-                           float(np.max(np.abs(rest))) if rest.size else 0.0)
+    distortion_error = max(float(abs(p1[delay] - 2.0)), float(np.max(np.abs(rest))))
     ok = distortion_error <= tol and alias_error <= tol
     return PrCheck(ok, delay if ok else -1, distortion_error, alias_error)
 
@@ -165,8 +169,8 @@ def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank, mode: PadMode,
     # each window times the reversed taps: convolution with dec_lo/dec_hi
     windows = sliding_window_view(ext, k, axis=1)[:, phase::2][:, :_band_length(n, k, mode)]
     lo, hi = (None, None) if out is None else (out[:, 0], out[:, 1])
-    return (np.matmul(windows, _in_tap_order(bank.dec_lo[::-1]), out=lo),
-            np.matmul(windows, _in_tap_order(bank.dec_hi[::-1]), out=hi))
+    return (np.einsum("rmk,k->rm", windows, bank.dec_lo[::-1].copy(), out=lo),
+            np.einsum("rmk,k->rm", windows, bank.dec_hi[::-1].copy(), out=hi))
 
 
 def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
@@ -174,17 +178,17 @@ def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
     """Inverse of _analysis_pair, trimmed to out_len columns."""
     k = len(bank)
     rows, m = lo.shape
-    # hi[0], lo[0], hi[1], lo[1], ... between k - 2 zeros in front and k behind,
-    # read backwards: window j holds lo[j], hi[j], lo[j-1], hi[j-1], ..., every
-    # term of outputs 2j and 2j+1 in the order the taps meet them
+    # hi[0], lo[0], hi[1], lo[1], ... between k - 2 zeros in front and k behind:
+    # window j ends in ..., hi[j-1], lo[j-1], hi[j], lo[j], every term of
+    # outputs 2j and 2j+1, against the interleaved taps reversed
     padded = np.zeros((rows, 2 * m + 2 * k - 2))
     padded[:, k - 2:k - 2 + 2 * m:2] = hi
     padded[:, k - 1:k - 1 + 2 * m:2] = lo
-    windows = sliding_window_view(padded, k, axis=1)[:, ::2, ::-1]
+    windows = sliding_window_view(padded, k, axis=1)[:, ::2]
     full = np.empty((rows, m + k // 2, 2))
     for p in (0, 1):
-        taps = np.stack([bank.rec_lo[p::2], bank.rec_hi[p::2]], axis=1).ravel()
-        np.matmul(windows, _in_tap_order(taps), out=full[..., p])
+        taps = np.stack([bank.rec_hi[p::2], bank.rec_lo[p::2]], axis=1)[::-1].ravel()
+        np.einsum("rmk,k->rm", windows, taps, out=full[..., p])
     full = full.reshape(rows, -1)[:, :-1]  # 2m + k - 1 columns, the last one zero
     if mode == PadMode.PERIODIZATION:
         n2 = 2 * m

@@ -532,3 +532,45 @@ class TestNoBlas:
         assert all(row["stoi"] is not None for row in rows)
         first = next(iter(reports.values()))
         assert all(report == first for report in reports.values()), list(reports)
+
+
+class TestCpuFeatures:
+    """The filter banks and the resampler sum through einsum's contiguous
+    dot-product loop, which numpy builds for its baseline SIMD only, so their
+    bytes do not depend on which of the CPU's features numpy dispatches to."""
+
+    SETTINGS = (None, "AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR",
+                "X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+    CODE = """\
+import hashlib
+import numpy as np
+from tfsep.signal import PadMode, Signal, resample
+from tfsep.wavelet import DwtConfig, WptConfig, iwpt, max_level, wavedec, waverec, wpt
+rng = np.random.default_rng(7)
+digest = hashlib.sha256()
+for n in (5, 101, 4097):
+    s = Signal(rng.normal(size=n), 8000)
+    for name in ("haar", "db2", "sym8", "coif5", "db20", "coif17"):
+        for mode in PadMode:
+            for levels in (1, max_level(n)):
+                for forward, inverse, cfg in ((wavedec, waverec, DwtConfig), (wpt, iwpt, WptConfig)):
+                    tf = forward(s, cfg(name, levels, mode))
+                    digest.update(tf.coeffs.tobytes() + inverse(tf).samples.tobytes())
+for rate in (8000, 16000, 22050, 44100):
+    digest.update(resample(Signal(rng.normal(size=rate), rate), 10000).samples.tobytes())
+print(digest.hexdigest())
+"""
+
+    def test_wavelets_and_resampler_do_not_depend_on_cpu_features(self):
+        base = {k: v for k, v in _child_env().items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        digests = {}
+        for setting in self.SETTINGS:
+            env = base if setting is None else {**base, "NPY_DISABLE_CPU_FEATURES": setting}
+            done = subprocess.run([sys.executable, "-c", self.CODE], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            if done.returncode and "cannot disable" in done.stderr:
+                continue                # this numpy cannot turn these features off here
+            assert done.returncode == 0, done.stderr
+            digests[setting] = done.stdout
+        assert None in digests
+        assert len(set(digests.values())) == 1, digests

@@ -1,8 +1,9 @@
 """Differential tests: the FFT, the real-input FFT, the STFT and the resampler
 against independent oracles (numpy.fft and scipy.signal, used here only, never
-by the package); the FFT core, the overlap-add, the real-FFT path of
-stft/istft and the wavelet filter-bank kernels against frozen earlier
-implementations, bit for bit; and
+by the package); the FFT core, the overlap-add and the real-FFT path of
+stft/istft against frozen earlier implementations, bit for bit; the wavelet
+filter-bank kernels and the resampler against their products summed in
+einsum's two-lane order, bit for bit; and
 decompose -> reconstruct for the wavelet configs at the edges of their range:
 odd lengths, every depth up to max_level, all three boundary modes."""
 import re
@@ -269,14 +270,17 @@ def test_resample_matches_resample_poly(from_rate, to_rate):
     assert np.max(np.abs(ours - ref)[EDGE:-EDGE]) <= RESAMPLE_BOUND
 
 
-def _resample_oracle(x, from_rate, to_rate):
-    """The resampler's formula evaluated per output sample, with exact integer
-    phases: output j sits at input position j*down/up = base + frac."""
+def _resample_oracle(x, from_rate, to_rate, total=lambda prods: prods.sum(axis=1)):
+    """The resampler's formula evaluated per output sample: output j sits at
+    input position j*down/up = base + frac, base an exact integer and frac
+    rounded as the resampler rounds it, phase*down/up less its floor for
+    phase = j mod up. `total` sums each output's 64 products."""
     g = gcd(from_rate, to_rate)
     up, down = to_rate // g, from_rate // g
     j = np.arange(-(-x.size * up // down))
     base = j * down // up
-    frac = (j * down % up) / up
+    t = j % up * down / up
+    frac = t - np.floor(t)
     offsets = np.arange(-31, 33)
     u = offsets - frac[:, None]
     cutoff = 0.5 * min(1.0, up / down)
@@ -285,7 +289,7 @@ def _resample_oracle(x, from_rate, to_rate):
     idx = base[:, None] + offsets
     inside = (idx >= 0) & (idx < x.size)
     taps = np.where(inside, x[np.clip(idx, 0, x.size - 1)], 0.0)
-    return (taps * kern).sum(axis=1)
+    return total(taps * kern)
 
 
 @pytest.mark.parametrize("n", [1, 7, 100, 2001])
@@ -298,6 +302,16 @@ def test_resample_matches_per_output_oracle(from_rate, to_rate, n):
     ref = _resample_oracle(x, from_rate, to_rate)
     assert ours.shape == ref.shape
     assert np.max(np.abs(ours - ref)) <= 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 7, 100, 2001])
+@pytest.mark.parametrize("from_rate, to_rate", [
+    (16000, 10000), (8000, 10000), (44100, 10000), (22050, 16000), (11025, 10000),
+    (8000, 8009), (8000, 12007), (5000, 10000)])
+def test_resample_sums_in_two_lane_order(from_rate, to_rate, n):
+    x = np.random.default_rng(n + from_rate + to_rate).normal(size=n)
+    ours = resample(Signal(x, from_rate), to_rate).samples
+    assert _bit_identical(ours, _resample_oracle(x, from_rate, to_rate, _two_lane))
 
 
 @pytest.mark.parametrize("config", [DwtConfig, WptConfig])
@@ -313,11 +327,41 @@ def test_wavelet_roundtrip_at_odd_lengths_up_to_max_level(config, mode, wavelet,
             assert err < 1e-10, (n, levels, err)
 
 
-# The filter-bank kernels as one numpy operation per tap, with the tiled
-# periodization extension for bands shorter than the filter. The package's
-# strided-window products must give these coefficients bit for bit.
+# The filter-bank kernels and the resampler as explicit products, summed in
+# the order of numpy's contiguous einsum dot-product loop. That loop is built
+# for numpy's baseline SIMD (two float64 lanes on x86-64) without fused
+# multiply-adds: lane 0 sums the even products and lane 1 the odd ones; each
+# full block of 8 adds its pairs (6, 7), (4, 5), (2, 3), (0, 1); the pairs
+# left over follow in ascending order, a last odd product paired with +0.0;
+# and the lane sum is added to the zero-filled output.
 
-def _per_tap_analysis(bands, bank, mode):
+def _two_lane(prods):
+    """Sum the last axis of `prods` in einsum's two-lane order."""
+    k = prods.shape[-1]
+    if k % 2:
+        prods = np.concatenate([prods, np.zeros(prods.shape[:-1] + (1,))], axis=-1)
+    lanes = np.zeros(prods.shape[:-1] + (2,))
+    blocks = k // 8 * 8
+    for start in range(0, blocks, 8):
+        for pair in (6, 4, 2, 0):
+            lanes = prods[..., start + pair:start + pair + 2] + lanes
+    for j in range(blocks, prods.shape[-1], 2):
+        lanes = prods[..., j:j + 2] + lanes
+    return 0.0 + (lanes[..., 0] + lanes[..., 1])
+
+
+def _in_order(prods):
+    """Sum the last axis one product at a time from +0.0, as matmul's own loop did."""
+    total = np.zeros(prods.shape[:-1])
+    for i in range(prods.shape[-1]):
+        total = total + prods[..., i]
+    return total
+
+
+def _analysis_oracle(bands, bank, mode, total):
+    """(lo, hi) from every output's products in the order the taps meet the
+    extended band, summed by `total`, with the tiled periodization extension
+    for bands shorter than the filter."""
     k = len(bank)
     n = bands.shape[1]
     if mode == PadMode.PERIODIZATION:
@@ -334,22 +378,26 @@ def _per_tap_analysis(bands, bank, mode):
         pad_kw = {} if mode == PadMode.ZERO else {"mode": "symmetric"}
         ext = np.pad(bands, [(0, 0), (k - 1, k - 1)], **pad_kw)
         phase, out_len = 1, (n + k - 1) // 2
-    lo = np.zeros((bands.shape[0], out_len))
-    hi = np.zeros_like(lo)
-    for i in range(k):
-        seg = ext[:, phase + i: phase + i + 2 * out_len - 1: 2]
-        lo += bank.rec_lo[i] * seg
-        hi += bank.rec_hi[i] * seg
-    return lo, hi
+    windows = ext[:, phase + 2 * np.arange(out_len)[:, np.newaxis] + np.arange(k)]
+    return total(windows * bank.dec_lo[::-1]), total(windows * bank.dec_hi[::-1])
 
 
-def _per_tap_synthesis(lo, hi, bank, mode, out_len):
+def _synthesis_oracle(lo, hi, bank, mode, out_len, total):
+    """Each untrimmed output c = 2j + p summed by `total` from its products in
+    the order ..., hi[j-1] rec_hi[p+2], lo[j-1] rec_lo[p+2], hi[j] rec_hi[p],
+    lo[j] rec_lo[p] (zeros for coefficients beyond either end), then cut to
+    out_len with the periodization wrap folded back in."""
     k = len(bank)
-    m = lo.shape[1]
-    full = np.zeros((lo.shape[0], 2 * m + k - 1))
-    for i in range(k):
-        full[:, i: i + 2 * m: 2] += bank.rec_lo[i] * lo
-        full[:, i: i + 2 * m: 2] += bank.rec_hi[i] * hi
+    rows, m = lo.shape
+    c = np.arange(2 * m + k - 1)[:, np.newaxis]
+    t = np.arange(k // 2)[::-1]
+    src = c // 2 - t
+    inside = (src >= 0) & (src < m)
+    src = np.clip(src, 0, m - 1)
+    tap = c % 2 + 2 * t
+    lo_terms = np.where(inside, lo[:, src], 0.0) * bank.rec_lo[tap]
+    hi_terms = np.where(inside, hi[:, src], 0.0) * bank.rec_hi[tap]
+    full = total(np.stack([hi_terms, lo_terms], axis=-1).reshape(rows, c.size, k))
     if mode == PadMode.PERIODIZATION:
         n2 = 2 * m
         out = full[:, :n2].copy()
@@ -362,8 +410,10 @@ def _per_tap_synthesis(lo, hi, bank, mode, out_len):
 
 @pytest.mark.parametrize("mode", [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC])
 @pytest.mark.parametrize("wavelet", ["haar", "db2", "sym8", "db20", "coif17"])
-def test_filter_bank_kernels_match_per_tap_oracle(wavelet, mode, rng):
+def test_filter_bank_kernels_match_two_lane_oracle(wavelet, mode, rng):
     bank = lookup(wavelet)
+    # Haar's two products also sum to matmul's bits, in either order
+    orders = (_two_lane, _in_order) if wavelet == "haar" else (_two_lane,)
     # 1, 2, 3 and 7 are shorter than most of these filters (k - 1 > n)
     for n in (1, 2, 3, 7, 8, 64, 101, 1000, 1001, 12344, 12345):
         for rows in (1, 3):
@@ -372,12 +422,21 @@ def test_filter_bank_kernels_match_per_tap_oracle(wavelet, mode, rng):
             half = n // 2
             x[:, 1:half:2] = x[:, 0:half - 1:2]      # equal pairs: Haar details of exactly 0
             lo, hi = _analysis_pair(x, bank, mode)
-            ref_lo, ref_hi = _per_tap_analysis(x, bank, mode)
-            assert _bit_identical(lo, ref_lo) and _bit_identical(hi, ref_hi), (n, rows)
+            for total in orders:
+                ref_lo, ref_hi = _analysis_oracle(x, bank, mode, total)
+                assert _bit_identical(lo, ref_lo) and _bit_identical(hi, ref_hi), (n, rows)
+            for r in range(rows):                    # each row on its own
+                alone_lo, alone_hi = _analysis_pair(x[r:r + 1], bank, mode)
+                assert _bit_identical(lo[r:r + 1], alone_lo), (n, r)
+                assert _bit_identical(hi[r:r + 1], alone_hi), (n, r)
             for out_len in (n, 2 * lo.shape[1]):
                 ours = _synthesis_pair(lo, hi, bank, mode, out_len)
-                ref = _per_tap_synthesis(lo, hi, bank, mode, out_len)
-                assert _bit_identical(ours, ref), (n, rows, out_len)
+                for total in orders:
+                    ref = _synthesis_oracle(lo, hi, bank, mode, out_len, total)
+                    assert _bit_identical(ours, ref), (n, rows, out_len)
+                for r in range(rows):
+                    alone = _synthesis_pair(lo[r:r + 1], hi[r:r + 1], bank, mode, out_len)
+                    assert _bit_identical(ours[r:r + 1], alone), (n, r, out_len)
 
 
 def test_package_uses_no_library_transforms():

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -393,6 +394,27 @@ class TestCustomBank:
         x = rng.normal(size=64)
         approx, detail = dwt_step(x, bank, mode)
         assert np.max(np.abs(idwt_step(approx, detail, bank, mode) - x)) < 1e-10
+
+    def test_verify_pr_passes_the_placements_the_steps_invert(self, rng):
+        # CDF 5/3 zero-padded to 8 taps, analysis filters from tap a and
+        # synthesis filters from tap b: every placement cancels aliasing and
+        # has one no-distortion delay, a + b + 3, but the steps invert delay 7 only
+        def placed(taps, at):
+            out = np.zeros(8)
+            out[at:at + len(taps)] = taps
+            return out
+
+        x = rng.normal(size=64)
+        for a, b in itertools.product(range(4), repeat=2):
+            bank = WaveletFilterBank("bior2.2", placed(SQRT2 / 8 * np.array([-1, 2, 6, 2, -1]), a),
+                                     placed(SQRT2 / 4 * np.array([1, -2, 1]), a),
+                                     placed(SQRT2 / 4 * np.array([1, 2, 1]), b),
+                                     placed(SQRT2 / 8 * np.array([1, 2, -6, 2, 1]), b))
+            check = verify_pr(bank)
+            assert check.ok == (a + b == 4) and check.alias_error < 1e-12, (a, b, check)
+            approx, detail = dwt_step(x, bank, PadMode.ZERO)
+            err = np.max(np.abs(idwt_step(approx, detail, bank, PadMode.ZERO) - x))
+            assert (err < 1e-10) == check.ok, (a, b, err)
 
     def test_tampered_analysis_does_not_roundtrip(self, rng):
         # criterion 4's bank: verify_pr rejects it, and the steps agree
