@@ -16,7 +16,7 @@ from . import metrics as metrics_mod
 from .fourier import WindowKind, export_heatmap
 from .harness import (SORT_COLUMNS, DataError, SpeakerCorpus, _positive_number, build_config,
                       default_grid, emit_report, grid_search, json_value, load_grid_file,
-                      load_wav, make_mixture, save_wav, stft_entry, wavelet_entry)
+                      load_wav, make_mixture, save_wav, stft_entry, wav_header, wavelet_entry)
 from .masking import decompose
 from .signal import PadMode, Signal
 from .wavelet import dwt_bands, dwt_heatmap_matrix, lookup, max_level
@@ -182,7 +182,7 @@ def _cmd_experiment(args) -> int:
     corpus = SpeakerCorpus.from_dir(args.corpus)
     corpus.check_speakers(args.speakers)  # before any WAV is decoded
     if args.grid == "default":
-        shortest = min(len(corpus.load(f)) for sp in corpus.speakers for f in sp.files)
+        shortest = min(wav_header(f)[1] for sp in corpus.speakers for f in sp.files)
         grid = default_grid(max_level(shortest), full_depth=args.full_depth)
     else:
         grid = load_grid_file(args.grid)

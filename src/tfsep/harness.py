@@ -36,29 +36,39 @@ class DataError(Exception):
 # ---------------------------------------------------------------------------
 # WAV I/O (16-bit PCM)
 
+def wav_header(path) -> tuple[int, int, int, int]:
+    """(rate, frames, channels, data offset) of a 16-bit PCM WAV as load_wav decodes it, from
+    its header and size alone: a bad header or data cut mid-frame raises load_wav's DataError."""
+    path = Path(path)
+    try:
+        with open(path, "rb") as file, wave.open(file, "rb") as fh:
+            width = fh.getsampwidth()
+            if width != 2:
+                raise DataError(f"{path}: unsupported bit depth {8 * width}; only 16-bit PCM")
+            channels = fh.getnchannels()
+            rate = fh.getframerate()
+            offset = file.tell()  # wave stops at the first data byte and reads no
+            file.seek(4)          # further than the file or the RIFF size allows
+            end = min(path.stat().st_size, 8 + int.from_bytes(file.read(4), "little"))
+            size = min(fh.getnframes() * 2 * channels, end - offset)
+    except (wave.Error, EOFError) as exc:
+        raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
+    if rate < 1:
+        raise DataError(f"{path}: header sample rate is {rate} Hz; need a positive rate")
+    if size % (2 * channels):
+        raise DataError(f"{path}: {size} data bytes are not a whole number of "
+                        f"{channels}-channel 16-bit frames ({2 * channels} bytes each)")
+    return rate, size // (2 * channels), channels, offset
+
+
 def load_wav(path) -> Signal:
     """Decode a 16-bit PCM WAV to a normalized mono Signal.
 
     Stereo (or more channels) is down-mixed by averaging. Anything that is
     not uncompressed 16-bit PCM raises DataError.
     """
-    path = Path(path)
-    try:
-        with wave.open(str(path), "rb") as fh:
-            width = fh.getsampwidth()
-            if width != 2:
-                raise DataError(f"{path}: unsupported bit depth {8 * width}; only 16-bit PCM")
-            channels = fh.getnchannels()
-            rate = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
-    except (wave.Error, EOFError) as exc:
-        raise DataError(f"{path}: not a readable WAV file ({exc})") from exc
-    if rate < 1:
-        raise DataError(f"{path}: header sample rate is {rate} Hz; need a positive rate")
-    if len(raw) % (width * channels):
-        raise DataError(f"{path}: {len(raw)} data bytes are not a whole number of "
-                        f"{channels}-channel 16-bit frames ({width * channels} bytes each)")
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    rate, frames, channels, offset = wav_header(path)
+    data = np.fromfile(path, "<i2", frames * channels, offset=offset).astype(np.float64) / 32768.0
     if channels > 1:
         data = data.reshape(-1, channels).mean(axis=1)
     return Signal(data, rate)
@@ -129,32 +139,26 @@ class Mixture:
 
 
 def _draw(corpus: SpeakerCorpus, n_speakers: int, seed: int):
-    """The seeded recordings of one mixture, which must share one rate, and
-    their speaker ids."""
+    """The seeded recordings of one mixture, whose headers must give one
+    rate, and their speaker ids."""
     if n_speakers < 2:
         raise ValueError("a mixture needs at least 2 speakers")
     corpus.check_speakers(n_speakers)
-    streams = np.random.SeedSequence(seed).spawn(2)
-    rng_speakers = np.random.default_rng(streams[0])
-    rng_files = np.random.default_rng(streams[1])
+    rng_speakers, rng_files = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     chosen = rng_speakers.choice(len(corpus.speakers), size=n_speakers, replace=False)
-    signals, ids = [], []
-    for idx in chosen:
-        entry = corpus.speakers[idx]
-        file = entry.files[rng_files.integers(len(entry.files))]
-        signals.append(corpus.load(file))
-        ids.append(entry.speaker_id)
-    rate = signals[0].rate
-    for sig in signals:
-        if sig.rate != rate:
-            raise DataError(f"sampling rate mismatch: {sig.rate} vs {rate}")
-    return signals, ids
+    entries = [corpus.speakers[idx] for idx in chosen]
+    files = [entry.files[rng_files.integers(len(entry.files))] for entry in entries]
+    rates = [wav_header(file)[0] for file in files]
+    if mismatch := [rate for rate in rates if rate != rates[0]]:
+        raise DataError(f"sampling rate mismatch: {mismatch[0]} vs {rates[0]}")
+    return files, [entry.speaker_id for entry in entries]
 
 
 def make_mixture(corpus: SpeakerCorpus, n_speakers: int, seed: int) -> Mixture:
     """Draw n distinct speakers and one recording each (seeded), zero-pad to a
     common length, and sum. The first drawn speaker is the target."""
-    signals, ids = _draw(corpus, n_speakers, seed)
+    files, ids = _draw(corpus, n_speakers, seed)
+    signals = [corpus.load(file) for file in files]
     rate = signals[0].rate
     length = max(len(sig) for sig in signals)
     padded = tuple(Signal(np.pad(sig.samples, (0, length - len(sig))), rate)
@@ -174,11 +178,12 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
     Interference is the coefficient-wise sum of the other sources'
     decompositions (the magnitude of the sum, not the sum of magnitudes).
     """
-    # each coefficient array goes after its last read: the sources' once the mask is
-    # built, before the mixture's timed forward (time_s is that forward plus the inverse)
+    # each coefficient array goes after its last read, the sources' before the mixture's timed
+    # forward (time_s is it plus the inverse); the mask reads |target| and weighs as bools
     target_tf = decompose(mix.sources[0], cfg)
+    target_tf = replace(target_tf, coeffs=np.abs(target_tf.coeffs))
     interference = reduce(add, (decompose(src, cfg) for src in mix.sources[1:]))
-    mask = ideal_binary_mask(target_tf, interference)
+    mask = ideal_binary_mask(target_tf, interference).astype(bool)
     del target_tf, interference
     t0 = perf_counter()
     mixture_tf = decompose(mix.mixture, cfg)

@@ -53,10 +53,15 @@ def add(a: TFRepresentation, b: TFRepresentation) -> TFRepresentation:
 
 def ideal_binary_mask(target: TFRepresentation, interference: TFRepresentation,
                       threshold: float = 0.0) -> np.ndarray:
-    """Weight 1 where |target| - |interference| >= threshold, else 0."""
+    """Weight 1 where |target| - |interference| >= threshold, else 0; built in |target|'s array."""
     _check_congruent(target, interference)
-    weights = np.abs(target.coeffs) - np.abs(interference.coeffs) >= threshold
-    return weights.astype(np.float64)
+    weights = np.abs(target.coeffs)
+    with np.nditer([weights, interference.coeffs], ["external_loop", "buffered", "zerosize_ok"],
+                   [["readwrite"], ["readonly"]], buffersize=4096) as blocks:
+        for block, other in blocks:
+            block -= np.abs(other)
+            np.greater_equal(block, threshold, out=block)
+    return weights.astype(np.float64, copy=False)
 
 
 def ideal_ratio_mask(target: TFRepresentation, interference: TFRepresentation) -> np.ndarray:

@@ -13,7 +13,7 @@ import tfsep
 from tfsep import cli, harness
 from tfsep.cli import main
 from tfsep.harness import (build_config, default_grid, load_grid_file, load_wav, run_ibm_trial,
-                           save_wav)
+                           save_wav, wav_header)
 from tfsep.signal import Signal
 from tfsep.synth import make_corpus, speech_like
 
@@ -324,7 +324,7 @@ class TestExperimentCommand:
         assert len(rows) == 48 + 56 * 6 * 2  # max_level(64) == 6
         assert all(row.split(",")[8] == "ok" for row in rows)
 
-    def test_default_grid_decodes_every_wav_after_the_speaker_check(
+    def test_default_grid_reads_every_header_after_the_speaker_check(
             self, tmp_path, monkeypatch):
         corpus = tmp_path / "four"
         gen = np.random.default_rng(3)
@@ -332,21 +332,28 @@ class TestExperimentCommand:
             (corpus / f"s{sp}").mkdir(parents=True)
             for u in range(2):
                 save_wav(Signal(0.4 * gen.normal(size=64), 16000), corpus / f"s{sp}" / f"{u}.wav")
-        decoded = []
+        decoded, headers = [], []
 
         def counting_load_wav(path):
             decoded.append(path)
             return load_wav(path)
 
+        def counting_wav_header(path):
+            headers.append(path)
+            return wav_header(path)
+
         monkeypatch.setattr(harness, "load_wav", counting_load_wav)
         monkeypatch.setattr(cli, "load_wav", counting_load_wav)
+        monkeypatch.setattr(harness, "wav_header", counting_wav_header)
+        monkeypatch.setattr(cli, "wav_header", counting_wav_header)
         args = ["experiment", "--corpus", str(corpus), "--mixtures", "1", "--grid", "default",
                 "--out", str(tmp_path / "r.csv")]
         assert main([*args, "--speakers", "5"]) == 2
-        assert decoded == []
+        assert decoded == headers == []
         assert main(args) == 0
-        # the depth scan reads every WAV; the mixture decodes its own again
-        assert set(decoded) == set(corpus.glob("*/*.wav"))
+        # the depth scan reads every header; only the mixture's two WAVs are decoded
+        assert set(headers) == set(corpus.glob("*/*.wav"))
+        assert len(decoded) == len(set(decoded)) == 2
 
     @pytest.mark.parametrize("out", ["missing/r.csv", "."], ids=["no-directory", "a-directory"])
     def test_bad_out_rejected_before_any_wav_is_decoded(

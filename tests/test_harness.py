@@ -14,7 +14,7 @@ from tfsep import harness
 from tfsep.harness import (DataError, Mixture, SpeakerCorpus, _mean, build_config,
                            default_grid, emit_report, grid_search, load_grid_file,
                            load_wav, make_mixture, run_ibm_trial, save_wav,
-                           stft_entry, wavelet_entry)
+                           stft_entry, wav_header, wavelet_entry)
 from tfsep.masking import DwtConfig, StftConfig, WptConfig, decompose
 from tfsep.fourier import WindowKind
 from tfsep.metrics import MetricScores, stoi_reference
@@ -89,6 +89,26 @@ class TestWavIo:
         with pytest.raises(DataError) as err:
             load_wav(path)
         assert str(err.value).startswith(f"{path}: ") and fault in str(err.value)
+        with pytest.raises(DataError) as from_header:     # found without decoding
+            wav_header(path)
+        assert str(from_header.value) == str(err.value)
+
+    # a 2-channel file holding 100 frames, whose data chunk claims `claimed`
+    # frames, cut by `cut` bytes at its end and with a RIFF size `riff_short`
+    # bytes short: wave reads up to the claimed size, the file's end or the RIFF
+    # chunk's end, whichever comes first, and the header must say as much
+    @pytest.mark.parametrize("claimed, cut, riff_short, frames", [
+        (100, 0, 0, 100), (100, 20, 0, 95), (100, 0, 32, 92), (100, 20, 60, 85),
+        (0, 0, 0, 0), (1000, 0, 0, 100)])
+    def test_header_gives_the_decoded_length(self, tmp_path, claimed, cut, riff_short, frames):
+        fmt = struct.pack("<HHIIHH", 1, 2, 8000, 8000 * 4, 4, 16)
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data"
+                + struct.pack("<I", 4 * claimed) + np.arange(200, dtype="<i2").tobytes())
+        path = tmp_path / "short.wav"
+        whole = b"RIFF" + struct.pack("<I", len(body) - riff_short) + body
+        path.write_bytes(whole[:len(whole) - cut])
+        assert len(load_wav(path)) == frames
+        assert wav_header(path) == (8000, frames, 2, 44)
 
     def test_ieee_float_wav_is_data_error(self, tmp_path):
         # format tag 3: 32-bit IEEE float samples, which the wave module refuses
@@ -177,11 +197,14 @@ class TestIbmTrial:
 
     # no step may run on top of every coefficient array of the trial (the
     # mixture's, the sources', their sum, the mask and the masked copy of a dense
-    # 5 ms / 1.25 ms hop STFT): the sources are decomposed one at a time, and
-    # released once the mask is built, before the mixture is transformed. The
-    # peak is then the step that sums the sources (target, running sum, next
-    # source and new sum) or the mask step (target, interference, two magnitudes).
-    @pytest.mark.parametrize("n_sources, rate, bound", [(3, 8000, 4.5), (2, 16000, 3.5)])
+    # 5 ms / 1.25 ms hop STFT): the target is kept as its magnitudes (half an
+    # array), the sources are decomposed one at a time and released once the
+    # mask is built, before the mixture is transformed, and the mask is held as
+    # booleans. The peak is then the step that sums the sources (|target|,
+    # running sum, next source and new sum: 3.59x), or with two sources the
+    # inverse (the masked copy, istft's transform buffer and its sums: 2.82x).
+    # They were 4.09x and 3.00x with the target's coefficients and a float mask.
+    @pytest.mark.parametrize("n_sources, rate, bound", [(3, 8000, 3.75), (2, 16000, 2.95)])
     def test_coefficients_released_before_reconstruction(self, n_sources, rate, bound):
         import tracemalloc
         gen = np.random.default_rng(0)
@@ -539,6 +562,34 @@ class TestPerMixtureWork:
             grid_search(corpus, [wavelet_entry("dwt", "haar", 1)], n_mixtures=4, seed=5)
         # the first mixture alone builds, so its trials could have run first
         make_mixture(corpus, 2, int(np.random.SeedSequence(5).generate_state(1)[0]))
+
+    def test_data_cut_mid_frame_found_before_the_first_trial(self, tmp_path, monkeypatch):
+        # seed 5: the first mixture draws a, b or c; the second draws d, whose data is cut
+        corpus = _noise_corpus(tmp_path, {s: 8000 for s in "abcd"}, 0.5)
+        wav = tmp_path / "d" / "u000.wav"
+        wav.write_bytes(wav.read_bytes()[:-1])
+
+        def no_trials(mix, cfg):
+            raise AssertionError("a trial ran before every recording was checked")
+
+        monkeypatch.setattr(harness, "run_ibm_trial", no_trials)
+        with pytest.raises(DataError, match="not a whole number of 1-channel 16-bit frames"):
+            grid_search(corpus, [wavelet_entry("dwt", "haar", 1)], n_mixtures=4, seed=5)
+        make_mixture(corpus, 2, int(np.random.SeedSequence(5).generate_state(1)[0]))
+
+    def test_each_recording_is_decoded_once_per_mixture(self, tmp_path, monkeypatch):
+        # the rate check before the first trial reads headers only
+        corpus = _noise_corpus(tmp_path, {s: 8000 for s in "abcd"}, 0.01, recordings=3)
+        decoded = []
+
+        def counting_load_wav(path):
+            decoded.append(path)
+            return load_wav(path)
+
+        monkeypatch.setattr(harness, "load_wav", counting_load_wav)
+        report = grid_search(corpus, [wavelet_entry("dwt", "haar", 1)], n_mixtures=400)
+        assert report.rows[0].status == "ok"
+        assert len(decoded) == 800
 
     def test_memory_does_not_grow_with_the_mixtures(self, tmp_path):
         root = tmp_path / "corpus"

@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from tfsep.harness import build_config, stft_entry
 from tfsep.masking import (DwtConfig, WptConfig, add, apply_mask,
                            decompose, ideal_binary_mask, ideal_ratio_mask,
                            reconstruct)
-from tfsep.signal import Signal
+from tfsep.signal import Signal, TFRepresentation
 from tfsep.wavelet import dwt_bands, lookup, wavedec
 
 
@@ -23,6 +26,15 @@ ALL_CONFIG_BUILDERS = [
 
 def rel_err(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _bit_identical(ours, ref):
+    """Same shape, dtype and values, signs of zero included, for real and
+    imaginary parts alike."""
+    parts = (lambda a: (a.real, a.imag)) if np.iscomplexobj(ref) else (lambda a: (a,))
+    return ours.shape == ref.shape and ours.dtype == ref.dtype and all(
+        np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in zip(parts(ours), parts(ref)))
 
 
 class TestDispatch:
@@ -106,12 +118,76 @@ class TestIdealBinaryMask:
         ties = np.abs(S.coeffs) == np.abs(N.coeffs)
         assert np.all((a + b)[~ties] == 1.0)  # bins partition except ties
 
+    # the mask is built in |target|'s own array, so its dtype and layout must
+    # not reach the result: float64 0/1 whatever the coefficients were
+    @pytest.mark.parametrize("kind", ["float32", "complex64", "int16", "permuted", "strided"])
+    def test_any_coefficients_give_a_float64_mask(self, rng, kind):
+        t, i = (rng.normal(size=(6, 70, 50)) + 1j * rng.normal(size=(6, 70, 50)) for _ in range(2))
+        if kind == "complex64":
+            t, i = t.astype(kind), i.astype(kind)
+        elif kind in ("float32", "int16"):
+            t, i = ((4 * x.real if kind == "float32" else np.round(4 * x.real)).astype(kind)
+                    for x in (t, i))
+        elif kind == "permuted":    # contiguous, but neither C nor F order
+            t = np.ascontiguousarray(t.transpose(1, 0, 2)).transpose(1, 0, 2)
+        else:
+            t, i = t[:, ::2, 1:], i[:, ::2, 1:]
+        T, I = (TFRepresentation(x, WptConfig("haar", 1), 16000, 100) for x in (t, i))
+        for threshold in (0.0, 0.25):
+            ref = (np.abs(t) - np.abs(i) >= threshold).astype(np.float64)
+            assert _bit_identical(ideal_binary_mask(T, I, threshold), ref)
+
     def test_shape_mismatch_rejected(self, rng):
         x = Signal(rng.normal(size=3000), 16000)
         a = decompose(x, DwtConfig("db4", 3))
         b = decompose(x, DwtConfig("db4", 2))
         with pytest.raises(ValueError):
             ideal_binary_mask(a, b)
+
+
+class TestWhatATrialHolds:
+    """An IBM trial keeps the target's magnitudes, not its coefficients, and
+    the mask as booleans; neither may move a bit of the mask or the product."""
+
+    @staticmethod
+    def _pair(rng, cfg):
+        tfs = [decompose(Signal(rng.normal(size=12000), 16000), cfg) for _ in range(2)]
+        for tf in tfs:
+            tf.coeffs[..., ::5] = -0.0                # signed zeros and ties reach the mask
+        return tfs
+
+    @pytest.mark.parametrize("build", ALL_CONFIG_BUILDERS)
+    def test_magnitudes_give_the_same_mask(self, rng, build):
+        T, I = self._pair(rng, build(16000))
+        mask = ideal_binary_mask(T, I)
+        assert _bit_identical(ideal_binary_mask(replace(T, coeffs=np.abs(T.coeffs)), I), mask)
+        # the mask is built in blocks of memory order: a target laid out
+        # otherwise than the interference pairs the same elements
+        other = replace(T, coeffs=np.asfortranarray(T.coeffs) if T.coeffs.flags.c_contiguous
+                        else np.ascontiguousarray(T.coeffs))
+        assert _bit_identical(ideal_binary_mask(other, I, 0.25), ideal_binary_mask(T, I, 0.25))
+
+    @pytest.mark.parametrize("build", ALL_CONFIG_BUILDERS)
+    def test_boolean_mask_gives_the_same_product(self, rng, build):
+        T, I = self._pair(rng, build(16000))
+        mask = ideal_binary_mask(T, I)
+        assert _bit_identical(apply_mask(I, mask.astype(bool)).coeffs, apply_mask(I, mask).coeffs)
+
+    # the mask is written over |target| 4096 elements at a time, so beyond its
+    # result it holds one block, not |interference| or a boolean copy (0.50x one
+    # STFT array and 2.00x one WPT array when it did)
+    @pytest.mark.parametrize("cfg", [build_config(stft_entry("hann", 5.0, 1.25), 16000),
+                                     WptConfig("db4", 5)], ids=["stft", "wpt"])
+    def test_scratch_beyond_the_result(self, rng, cfg):
+        T, I = (decompose(Signal(rng.normal(size=32000), 16000), cfg) for _ in range(2))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mask = ideal_binary_mask(T, I)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak - mask.nbytes < 0.25 * T.coeffs.nbytes, (peak - mask.nbytes) / T.coeffs.nbytes
 
 
 class TestIdealRatioMask:
