@@ -239,10 +239,10 @@ def _frame_count(n: int, cfg: StftConfig) -> int:
 
 # frames x fft_size of one STFT, 8.5x the largest default-grid STFT of a 12 s,
 # 44.1 kHz recording (100 ms, 25 ms hop). The tracemalloc peaks of stft (result
-# included) and istft at 2^21 and 2^22 points: 10 and 14 bytes per point for 2^5-
+# included) and istft at 2^21 and 2^22 points: 10 and 12 bytes per point for 2^5-
 # to 2^16-point FFTs at a quarter-window hop (one frame-sized array each), so 320
-# and 450 MiB at this limit; 16 and 33 when hop == window; up to 36 and 48 for 2
-# frames of 2^20 points (the chunk buffers), so up to 1.5 GiB.
+# and 390 MiB at this limit; 16 and 25 when hop == window; up to 36 and 36.5 for 2
+# frames of 2^20 points (the chunk buffers), so up to 1.1 GiB.
 STFT_MAX_POINTS = 1 << 25
 
 
@@ -269,30 +269,22 @@ def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
     return TFRepresentation(spec.T, cfg, s.rate, len(s))
 
 
-def _overlap_add(frames: np.ndarray, window: np.ndarray, hop: int):
-    """num[t*hop + j] = sum over t of frames[t, j] * window[j], and den the
-    same sum of window[j]**2, over (frames - 1)*hop + width samples.
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """out[t*hop + j] = sum over t of frames[t, j], over (frames - 1)*hop + width
+    samples.
 
-    The frames are cut into hop-wide blocks; block b of frame t, times its
-    part of the window, lands in row t + b of a (frames + blocks) x hop
-    accumulator. Adding the last block first gives every sample its frames
-    in ascending t, so the sums are bit-identical to adding one frame at a
-    time.
+    The frames are cut into hop-wide blocks; block b of frame t lands in row
+    t + b of a (frames + blocks) x hop accumulator. Adding the last block first
+    gives every sample its frames in ascending t, so the sums are bit-identical
+    to adding one frame at a time.
     """
     n_frames, width = frames.shape
     blocks = -(-width // hop)
-    squares = np.zeros(blocks * hop)
-    squares[:width] = window * window
-    num = np.zeros((n_frames + blocks, hop))
-    den = np.zeros((n_frames + blocks, hop))
-    products = np.empty((n_frames, hop))
+    out = np.zeros((n_frames + blocks, hop))
     for blk in range(blocks - 1, -1, -1):
-        cols = slice(blk * hop, (blk + 1) * hop)
-        part = np.multiply(frames[:, cols], window[cols], out=products[:, :window[cols].size])
-        num[blk:blk + n_frames, :part.shape[1]] += part
-        den[blk:blk + n_frames] += squares[cols]
-    total = (n_frames - 1) * hop + width
-    return num.reshape(-1)[:total], den.reshape(-1)[:total]
+        part = frames[:, blk * hop:(blk + 1) * hop]
+        out[blk:blk + n_frames, :part.shape[1]] += part
+    return out.reshape(-1)[:(n_frames - 1) * hop + width]
 
 
 def istft(m: TFRepresentation) -> Signal:
@@ -309,13 +301,15 @@ def istft(m: TFRepresentation) -> Signal:
     if m.coeffs.shape != shape:
         raise ValueError(f"expected STFT coefficients of shape {shape}, got {m.coeffs.shape}")
     frames = _irfft(m.coeffs.T, cfg.fft_size)[:, :cfg.win_size]
-    num, den = _overlap_add(frames, make_window(cfg.window, cfg.win_size), cfg.hop)
-    edge = cfg.win_size // 2
-    num = num[edge:edge + m.original_len]
-    den = den[edge:edge + m.original_len]
+    window = make_window(cfg.window, cfg.win_size)
+    kept = slice(cfg.win_size // 2, cfg.win_size // 2 + m.original_len)
+    den = _overlap_add(np.broadcast_to(window * window, frames.shape), cfg.hop)[kept]
     if np.any(den < 1e-12):
         raise ValueError("window/hop configuration leaves uncovered samples (denominator ~ 0)")
-    return Signal(num / den, m.rate)
+    frames *= window
+    num = _overlap_add(frames, cfg.hop)[kept]
+    num /= den
+    return Signal(num, m.rate)
 
 
 def export_heatmap(matrix, pgm_path, csv_path=None) -> None:

@@ -202,7 +202,9 @@ class TestIbmTrial:
     # mask is built, before the mixture is transformed, and the mask is held as
     # booleans. The peak is then the step that sums the sources (|target|,
     # running sum, next source and new sum: 3.59x), or with two sources the
-    # inverse (the masked copy, istft's transform buffer and its sums: 2.82x).
+    # inverse: on these 1 s signals the masked copy, istft's transform buffer
+    # and the FFT's chunk buffers (2.82x); on 12 s, 16 kHz ones the masked
+    # copy, the transform buffer and the two overlap-add sums (2.31x).
     # They were 4.09x and 3.00x with the target's coefficients and a float mask.
     @pytest.mark.parametrize("n_sources, rate, bound", [(3, 8000, 3.75), (2, 16000, 2.95)])
     def test_coefficients_released_before_reconstruction(self, n_sources, rate, bound):

@@ -90,3 +90,41 @@ _HEADER = "from __future__ import annotations\nimport numpy as np\nfrom .signal 
         "class-body", "annotations", "function-import-read", "function-import-unread"])
 def test_unused_import_check_follows_scopes(body, unused):
     assert _unused_imports(_HEADER + body) == unused
+
+
+def _library_fft_lines(source: str) -> list[int]:
+    """The lines that import scipy or numpy.fft, or read `np.fft` or `numpy.fft`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            modules = []
+        if any(m.split(".")[0] == "scipy" or (m + ".").startswith("numpy.fft.") for m in modules) \
+                or (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_uses_no_library_transforms():
+    """The FFT, the transforms and the resampler are this package's own:
+    numpy.fft and scipy serve the tests as oracles, never the package."""
+    hits = {path.name: lines for path in MODULES + [Path(tfsep.__file__)]
+            if (lines := _library_fft_lines(path.read_text()))}
+    assert hits == {}
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("import numpy as np\nx = np.fft.rfft([1.0])\n", [2]),
+    ("import numpy\nfrom numpy import fft\nx = numpy.fft\n", [2, 3]),
+    ("import numpy.fft\nfrom numpy.fft import rfft\n", [1, 2]),
+    ("import scipy.signal\nfrom scipy import fft\n", [1, 2]),
+    # the package's own fft, and numpy's other modules, are not numpy.fft
+    ("import numpy as np\nfrom . import fourier\nfrom .fourier import fft\n"
+     "x = fourier.fft(np.linalg.norm([1.0]))\n", []),
+], ids=["np-fft-read", "numpy-fft-from-import", "numpy-fft-import", "scipy", "own-fft"])
+def test_library_fft_check_finds_each_form(source, lines):
+    assert _library_fft_lines(source) == lines
