@@ -53,12 +53,15 @@ def add(a: TFRepresentation, b: TFRepresentation) -> TFRepresentation:
 
 def ideal_binary_mask(target: TFRepresentation, interference: TFRepresentation,
                       threshold: float = 0.0) -> np.ndarray:
-    """Weight 1 where |target| - |interference| >= threshold, else 0; built in |target|'s array."""
+    """Weight 1 where |target| - |interference| >= threshold, else 0, as float64;
+    written a block at a time into a new array of |target|'s dtype and layout."""
     _check_congruent(target, interference)
-    weights = np.abs(target.coeffs)
-    with np.nditer([weights, interference.coeffs], ["external_loop", "buffered", "zerosize_ok"],
-                   [["readwrite"], ["readonly"]], buffersize=4096) as blocks:
-        for block, other in blocks:
+    weights = np.empty_like(target.coeffs, target.coeffs.real.dtype)
+    with np.nditer([target.coeffs, interference.coeffs, weights],
+                   ["external_loop", "buffered", "zerosize_ok"],
+                   [["readonly"], ["readonly"], ["writeonly"]], buffersize=4096) as blocks:
+        for own, other, block in blocks:
+            np.abs(own, out=block)
             block -= np.abs(other)
             np.greater_equal(block, threshold, out=block)
     return weights.astype(np.float64, copy=False)

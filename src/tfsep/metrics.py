@@ -93,6 +93,7 @@ _STOI_FRAMES = 30                 # 384 ms at 10 kHz
 _STOI_CLIP_DB = -15.0
 _STOI_CLIP_GAIN = 1.0 + 10.0 ** (-_STOI_CLIP_DB / 20.0)
 _STOI_SILENCE_DB = 40.0
+_STOI_BLOCK = 128                 # frames, or segments, per block: STOI's scratch is bounded
 
 
 def _stoi_band_edges() -> np.ndarray:
@@ -104,34 +105,54 @@ def _stoi_band_edges() -> np.ndarray:
                                             centers[-1] * 2.0 ** (1.0 / 6.0)))
 
 
-def _stoi_segments(frames: np.ndarray) -> np.ndarray:
-    """The 30-frame envelope segments (segments x bands x 30) of Hann-windowed
-    10 kHz frames."""
+def _stoi_frame_blocks(x: np.ndarray, rows: np.ndarray):
+    """(at, block): the Hann-windowed 256-sample frames `rows` of 10 kHz
+    signal x, _STOI_BLOCK at a time, so no whole frame matrix is held."""
+    frames = _frame(x, _STOI_WIN, _STOI_HOP)
+    window = make_window(WindowKind.HANN, _STOI_WIN)
+    for lo in range(0, rows.size, _STOI_BLOCK):
+        block = frames[rows[lo:lo + _STOI_BLOCK]]
+        block *= window
+        yield slice(lo, lo + _STOI_BLOCK), block
+
+
+def _stoi_envelopes(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The band envelopes (kept frames x bands) of 10 kHz signal x over its
+    frames where keep holds."""
     edges = _stoi_band_edges()
-    spec = np.abs(_fft_core(frames, -1.0)[:, edges[0]:edges[-1]])
-    # numpy's own loop adds each band in a fixed order; a band-matrix product
-    # would leave the order to whichever BLAS kernel the CPU selects
-    envelopes = np.sqrt(np.add.reduceat(spec ** 2, edges[:-1] - edges[0], axis=1))
-    # a contiguous copy, so each 30-frame reduction adds in the same order as
-    # over a slice of the envelopes (frames x bands)
+    rows = np.flatnonzero(keep)
+    envelopes = np.empty((rows.size, _STOI_BANDS))
+    for at, block in _stoi_frame_blocks(x, rows):
+        spec = np.abs(_fft_core(block, -1.0)[:, edges[0]:edges[-1]])
+        # numpy's own loop adds each band in a fixed order; a band-matrix product
+        # would leave the order to whichever BLAS kernel the CPU selects
+        np.sqrt(np.add.reduceat(spec ** 2, edges[:-1] - edges[0], axis=1), out=envelopes[at])
+    return envelopes
+
+
+def _stoi_segment_blocks(envelopes: np.ndarray):
+    """(at, block): the 30-frame segments (segments x bands x 30) of the
+    envelopes, _STOI_BLOCK at a time, each block a contiguous copy, so each
+    30-frame reduction adds in the same order as over a slice of them."""
     windows = np.lib.stride_tricks.sliding_window_view(envelopes, _STOI_FRAMES, axis=0)
-    return windows.copy()
+    for lo in range(0, len(windows), _STOI_BLOCK):
+        yield slice(lo, lo + _STOI_BLOCK), windows[lo:lo + _STOI_BLOCK].copy()
 
 
 @dataclass(frozen=True, eq=False)
 class StoiReference:
     """The clean side of STOI, which depends on the clean signal alone: its
-    rate and length, the frames within 40 dB of its loudest, and per
-    (segment, band) envelope its norm, its -15 dB clip bound, and its
-    mean-centred form with that form's norm. Every stoi call against the
-    same clean signal can share one; stoi only reads it."""
+    rate and length, the frames within 40 dB of its loudest, their band
+    envelopes, and per (segment, band) envelope its norm, its mean and the
+    norm of its mean-centred form. Every stoi call against the same clean
+    signal can share one; stoi only reads it."""
 
     rate: int
     size: int
     keep: np.ndarray
-    norms: np.ndarray             # segments x bands x 1
-    bound: np.ndarray             # segments x bands x 30
-    centred: np.ndarray           # segments x bands x 30
+    envelopes: np.ndarray         # kept frames x bands
+    norms: np.ndarray             # segments x bands
+    means: np.ndarray             # segments x bands
     centred_norms: np.ndarray     # segments x bands
 
 
@@ -145,19 +166,21 @@ def stoi_reference(s, rate: int) -> StoiReference:
         raise MetricError("signals too short for STOI (need at least 384 ms)")
     if not np.any(x):
         raise MetricError("clean signal is silent")
-    frames = _frame(x, _STOI_WIN, _STOI_HOP) * make_window(WindowKind.HANN, _STOI_WIN)
-    energy = np.sum(frames ** 2, axis=1)
+    energy = np.empty(len(_frame(x, _STOI_WIN, _STOI_HOP)))
+    for at, block in _stoi_frame_blocks(x, np.arange(energy.size)):
+        energy[at] = np.sum(block ** 2, axis=1)
     keep = energy > energy.max() * 10.0 ** (-_STOI_SILENCE_DB / 10.0)
     if np.count_nonzero(keep) < _STOI_FRAMES:
         raise MetricError(
             f"fewer than {_STOI_FRAMES} frames remain after silent-frame removal")
-    frames = frames[keep]         # the full frame matrix is freed before the transform
-    x = _stoi_segments(frames)
-    del frames, energy            # and no frame-sized array outlives it
-    centred = x - x.mean(axis=-1, keepdims=True)
-    return StoiReference(clean.rate, len(clean), keep,
-                         np.linalg.norm(x, axis=-1, keepdims=True), _STOI_CLIP_GAIN * x,
-                         centred, np.linalg.norm(centred, axis=-1))
+    envelopes = _stoi_envelopes(x, keep)
+    norms, means, centred_norms = np.empty((3, len(envelopes) - _STOI_FRAMES + 1, _STOI_BANDS))
+    for at, segments in _stoi_segment_blocks(envelopes):
+        norms[at] = np.linalg.norm(segments, axis=-1)
+        means[at] = segments.mean(axis=-1)
+        segments -= means[at, :, None]
+        centred_norms[at] = np.linalg.norm(segments, axis=-1)
+    return StoiReference(clean.rate, len(clean), keep, envelopes, norms, means, centred_norms)
 
 
 def stoi(s, s_hat, rate: int, reference: StoiReference | None = None) -> float:
@@ -178,14 +201,17 @@ def stoi(s, s_hat, rate: int, reference: StoiReference | None = None) -> float:
     elif (reference.rate, reference.size) != (clean.rate, len(clean)):
         raise ValueError(f"STOI reference is for {reference.size} samples at {reference.rate} Hz,"
                          f" not {len(clean)} at {clean.rate} Hz")
-    y = _frame(resample(degraded, _STOI_RATE).samples, _STOI_WIN, _STOI_HOP)[reference.keep]
-    y *= make_window(WindowKind.HANN, _STOI_WIN)
-    y = _stoi_segments(y)                       # which frees the frames
-    # in place, so that no more than four segment arrays are alive at once
-    norm_y = np.linalg.norm(y, axis=-1, keepdims=True)
-    y *= reference.norms / np.where(norm_y == 0.0, 1.0, norm_y)
-    np.minimum(y, reference.bound, out=y)
-    y -= y.mean(axis=-1, keepdims=True)
-    denom = reference.centred_norms * np.linalg.norm(y, axis=-1)
-    num = np.sum(reference.centred * y, axis=-1)
-    return float(np.mean(np.where(denom == 0.0, 0.0, num / np.where(denom == 0.0, 1.0, denom))))
+    envelopes = _stoi_envelopes(resample(degraded, _STOI_RATE).samples, reference.keep)
+    correlations = np.empty(reference.norms.shape)
+    for (at, x), (_, y) in zip(_stoi_segment_blocks(reference.envelopes),
+                               _stoi_segment_blocks(envelopes)):
+        norm_y = np.linalg.norm(y, axis=-1, keepdims=True)
+        y *= reference.norms[at, :, None] / np.where(norm_y == 0.0, 1.0, norm_y)
+        np.minimum(y, _STOI_CLIP_GAIN * x, out=y)
+        y -= y.mean(axis=-1, keepdims=True)
+        x -= reference.means[at, :, None]
+        denom = reference.centred_norms[at] * np.linalg.norm(y, axis=-1)
+        num = np.sum(x * y, axis=-1)
+        correlations[at] = np.where(denom == 0.0, 0.0, num / np.where(denom == 0.0, 1.0, denom))
+    # one mean over every (segment, band) correlation, in the order of one array
+    return float(np.mean(correlations))

@@ -6,6 +6,7 @@ is safe.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from math import ceil, gcd
@@ -45,7 +46,8 @@ class Signal:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 1:
             raise ValueError("Signal samples must be one-dimensional")
-        if samples.size and not np.all(np.isfinite(samples)):
+        # min and max carry any NaN or infinity, with no mask as long as the samples
+        if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
             raise ValueError("Signal samples must be finite (no NaN/Inf)")
         rate = self.rate
         if not (isinstance(rate, (int, np.integer)) and rate > 0):
@@ -148,9 +150,9 @@ _SINC_HALF = 32  # 64-tap kernel per output sample
 def resample(s: Signal, to_rate: int) -> Signal:
     """Rational windowed-sinc resampling to to_rate Hz, in polyphase form:
     each of the `up` output phases has one 64-tap Hann-windowed sinc kernel,
-    applied by one einsum over a strided view of the input, so memory stays
-    proportional to the input and output lengths. einsum sums as the wavelet
-    kernels do, in the same order on every CPU.
+    applied by einsum over strided views of the input itself and of padded
+    copies of its two ends, so memory beyond the output stays constant.
+    einsum sums as the wavelet kernels do, in the same order on every CPU.
 
     Duration is preserved within one sample. Resampling to the input rate
     returns the input unchanged.
@@ -170,9 +172,15 @@ def resample(s: Signal, to_rate: int) -> Signal:
     half = _SINC_HALF
     cutoff = 0.5 * min(1.0, up / down)  # cycles per input sample
     offsets = np.arange(-half + 1, half + 1)
-    xp = np.concatenate([np.zeros(half), s.samples, np.zeros(half + 2)])
-    # row r holds xp[r : r + 64]; output j = phase + k*up reads row base + 1 + k*down
-    windows = np.lib.stride_tricks.sliding_window_view(xp, 2 * half)
+    x, end = s.samples, s.samples[-(2 * half - 1):]
+    # row r of the 64-sample windows of xp = (half zeros, x, half + 2 zeros) is xp[r : r + 64],
+    # and output j = phase + k*up reads row base + 1 + k*down. Rows half to n_in - half lie
+    # inside x and are read in place, the rows before and after from padded copies of its ends.
+    head = np.concatenate([np.zeros(half), x[:2 * half - 1], np.zeros(half + 2)])
+    tail = np.concatenate([end, np.zeros(half + 2)])
+    sources = [(first, np.lib.stride_tricks.sliding_window_view(span, 2 * half)
+                if span.size >= 2 * half else None)
+               for first, span in ((0, head), (half, x), (half + n_in - end.size, tail))]
     out = np.empty(n_out)
     for phase in range(min(up, n_out)):
         t = phase * down / up
@@ -181,6 +189,11 @@ def resample(s: Signal, to_rate: int) -> Signal:
         u = offsets - frac
         kern = 2.0 * cutoff * np.sinc(2.0 * cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / half))
         kern /= kern.sum()
-        count = len(range(phase, n_out, up))
-        np.einsum("jk,k->j", windows[base + 1::down][:count], kern, out=out[phase::up])
+        rows = range(base + 1, base + 1 + len(range(phase, n_out, up)) * down, down)
+        inside = bisect_left(rows, half)
+        cuts = (0, inside, max(inside, bisect_right(rows, n_in - half)), len(rows))
+        for (first, windows), lo, hi in zip(sources, cuts, cuts[1:]):
+            if hi > lo:   # each output is one einsum over its own 64 samples
+                np.einsum("jk,k->j", windows[rows[lo] - first::down][:hi - lo], kern,
+                          out=out[phase::up][lo:hi])
     return Signal(out, to_rate)

@@ -14,6 +14,7 @@ from tfsep import cli, harness
 from tfsep.cli import main
 from tfsep.harness import (build_config, default_grid, load_grid_file, load_wav, run_ibm_trial,
                            save_wav, wav_header)
+from tfsep.metrics import stoi
 from tfsep.signal import Signal
 from tfsep.synth import make_corpus, speech_like
 
@@ -198,6 +199,30 @@ class TestMetricsCommand:
         assert main(["metrics", "--ref", str(path), "--deg", str(path), "--stoi"]) == 2
         assert capsys.readouterr().err == (
             "tfsep: signals too short for STOI (need at least 384 ms)\n")
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads VmHWM")
+    def test_low_header_rate_scores_in_bounded_memory(self, tmp_path):
+        # 48,000 samples at a 100 Hz header rate are 480 s, 4.8 million samples
+        # at STOI's 10 kHz, every frame kept (569 MiB when STOI copied out every
+        # segment). The child reports the high-water mark of its own memory
+        # map: its ru_maxrss, RUSAGE_SELF or not, also holds the peak of the
+        # map it was forked with, this test process's.
+        gen = np.random.default_rng(10)
+        clean, other = gen.uniform(-0.4, 0.4, size=(2, 48_000))
+        paths = [tmp_path / "ref.wav", tmp_path / "deg.wav"]
+        for path, samples in zip(paths, (clean, clean + 0.5 * other)):
+            save_wav(Signal(samples, 100), path)
+        code = ("import sys\nfrom tfsep.cli import main\n"
+                "status = main(['metrics', '--ref', sys.argv[1], '--deg', sys.argv[2], '--stoi'])\n"
+                "print(*(line.split()[1] for line in open('/proc/self/status')\n"
+                "        if line.startswith('VmHWM:')), file=sys.stderr)\n"
+                "sys.exit(status)")
+        done = subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        ref, deg = (load_wav(path).samples for path in paths)
+        assert json.loads(done.stdout) == {"stoi": stoi(ref, deg, 100)}
+        assert int(done.stderr) / 1024 < 150, f"peak RSS {int(done.stderr) / 1024:.0f} MiB"
 
     @pytest.mark.parametrize("deg, message", [
         (Signal(np.zeros(100), 16000), "length mismatch: 16000 vs 100"),

@@ -314,6 +314,47 @@ def test_resample_sums_in_two_lane_order(from_rate, to_rate, n):
     assert _bit_identical(ours, _resample_oracle(x, from_rate, to_rate, _two_lane))
 
 
+def _frozen_padded_resample(x, from_rate, to_rate):
+    """resample as it was when it read every output's 64 samples from one
+    zero-padded copy of its whole input: the oracle for reading them in place."""
+    g = gcd(from_rate, to_rate)
+    up, down = to_rate // g, from_rate // g
+    n_out = ceil(x.size * up / down)
+    half = 32
+    cutoff = 0.5 * min(1.0, up / down)
+    offsets = np.arange(-half + 1, half + 1)
+    xp = np.concatenate([np.zeros(half), x, np.zeros(half + 2)])
+    windows = np.lib.stride_tricks.sliding_window_view(xp, 2 * half)
+    out = np.empty(n_out)
+    for phase in range(min(up, n_out)):
+        t = phase * down / up
+        base = int(np.floor(t))
+        frac = t - base
+        u = offsets - frac
+        kern = 2.0 * cutoff * np.sinc(2.0 * cutoff * u) * (0.5 + 0.5 * np.cos(np.pi * u / half))
+        kern /= kern.sum()
+        count = len(range(phase, n_out, up))
+        np.einsum("jk,k->j", windows[base + 1::down][:count], kern, out=out[phase::up])
+    return out
+
+
+# lengths about the 64-sample kernel's reach at either end, and long inputs, up
+# to `longest` samples: 4M outputs at most, and fewer where each of 8009 or
+# 10,000 output phases builds its own kernel
+@pytest.mark.parametrize("from_rate, to_rate, longest", [
+    (16000, 10000, 192000), (8000, 10000, 192000), (44100, 10000, 192000),
+    (22050, 10000, 192000), (11025, 10000, 192000), (48000, 10000, 192000),
+    (10000, 16000, 192000), (100, 10000, 48000), (7, 10000, 33), (8000, 8009, 4863)])
+def test_resample_matches_the_padded_copy_bit_for_bit(from_rate, to_rate, longest):
+    rng = np.random.default_rng(from_rate + to_rate)
+    for n in (1, 2, 31, 32, 33, 63, 64, 65, 66, 95, 96, 97, 129, 1000, 4863, 48000, 192000):
+        if n > longest:
+            break
+        x = rng.normal(size=n)
+        assert _bit_identical(resample(Signal(x, from_rate), to_rate).samples,
+                              _frozen_padded_resample(x, from_rate, to_rate)), n
+
+
 @pytest.mark.parametrize("config", [DwtConfig, WptConfig])
 @pytest.mark.parametrize("mode", [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC])
 @pytest.mark.parametrize("wavelet", ["haar", "db4", "sym8", "coif5"])

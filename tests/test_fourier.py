@@ -75,7 +75,7 @@ class TestNoStateLeft:
 
 
 class TestScratch:
-    # STOI's 940 x 256 frame batch (12 s at 10 kHz) and a 751 x 128 batch: beyond
+    # a 940 x 256 batch (12 s of STOI's 10 kHz frames) and a 751 x 128 batch: beyond
     # its output the core holds its two chunk buffers (512 KiB), per-stage twiddle
     # columns and numpy's broadcasting buffers, about 0.8 MiB in all
     @pytest.mark.parametrize("rows, n", [(940, 256), (751, 128)])

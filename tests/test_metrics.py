@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,15 +242,56 @@ class TestStoiMatchesFrozenLoop:
         assert outcome == "MetricError: fewer than 30 frames remain after silent-frame removal"
 
 
+@pytest.fixture(scope="module")
+def four_minutes():
+    """A clean 240 s, 16 kHz recording and its mixture with another."""
+    clean = speech_like(240.0, 16000, np.random.default_rng(240)).samples
+    return clean, clean + speech_like(240.0, 16000, np.random.default_rng(241)).samples
+
+
+class TestStoiBlocks:
+    """STOI walks its frames and its 30-frame segments a block of
+    _STOI_BLOCK at a time: no block edge moves a bit, and its memory beyond
+    the inputs holds the 10 kHz signals and the envelopes, not every
+    segment's 30 values."""
+
+    def test_four_minutes(self, four_minutes):
+        clean, degraded = four_minutes
+        assert stoi(clean, degraded, 16000) == _frozen_stoi(clean, degraded, 16000)
+
+    @pytest.mark.parametrize("segments", [127, 128, 129, 257])
+    def test_segment_counts_on_block_edges(self, segments, rng):
+        # 10 kHz needs no resampling, and noise keeps every frame
+        n = metrics._STOI_WIN + (segments + metrics._STOI_FRAMES - 2) * metrics._STOI_HOP
+        clean = rng.normal(size=n)
+        degraded = clean + rng.normal(size=n)
+        assert stoi_reference(clean, 10000).norms.shape == (segments, metrics._STOI_BANDS)
+        assert stoi(clean, degraded, 10000) == _frozen_stoi(clean, degraded, 10000)
+
+    # 5.53 and 98.3 MiB when every segment was copied out whole
+    @pytest.mark.parametrize("seconds, bound_mib", [(12.0, 3.0), (240.0, 32.0)])
+    def test_peak_without_a_reference(self, seconds, bound_mib, four_minutes):
+        clean, degraded = four_minutes
+        n = int(seconds * 16000)
+        clean, degraded = clean[:n].copy(), degraded[:n].copy()
+        tracemalloc.start()
+        try:
+            stoi(clean, degraded, 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2 ** 20, peak / 2 ** 20
+
+
 class TestStoiReference:
     def test_one_reference_scores_many_estimates(self, speech_signal, rng):
         s, rate = speech_signal.samples, speech_signal.rate
         ref = stoi_reference(s, rate)
-        arrays = [a.copy() for a in (ref.keep, ref.norms, ref.bound, ref.centred,
+        arrays = [a.copy() for a in (ref.keep, ref.envelopes, ref.norms, ref.means,
                                      ref.centred_norms)]
         for degraded in (s + rng.normal(size=s.size), 0.5 * s, np.zeros(s.size), s):
             assert stoi(s, degraded, rate, ref) == stoi(s, degraded, rate)
-        after = (ref.keep, ref.norms, ref.bound, ref.centred, ref.centred_norms)
+        after = (ref.keep, ref.envelopes, ref.norms, ref.means, ref.centred_norms)
         assert all(np.array_equal(a, b) for a, b in zip(arrays, after))   # only read
 
     @pytest.mark.parametrize("clean, error", [

@@ -173,3 +173,17 @@ class TestResample:
             tracemalloc.stop()
         assert len(out) == 5
         assert peak < 1 << 20, peak
+
+    @pytest.mark.parametrize("from_rate, n", [(16000, 3_840_000), (100, 48_000)])
+    def test_scratch_beyond_the_output_is_constant(self, from_rate, n):
+        # the input is read in place: no padded copy of it (29 MiB for these
+        # 240 s at 16 kHz), and no mask of the output's finite values
+        import tracemalloc
+        s = Signal(np.random.default_rng(3).normal(size=n), from_rate)
+        tracemalloc.start()
+        try:
+            out = resample(s, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.samples.nbytes < 1 << 16, peak - out.samples.nbytes
