@@ -16,7 +16,9 @@ pair. Each run is that side's own
 `perfbench/run.py --workload NAME --seed S` at the run length run.py sets,
 and the last line it prints is parsed as its result.
 
-The file holds every run's result, the median and quartiles of each
+The file holds every run's result with the minor page faults and the CPU
+seconds (user plus system) of the processes the run started, from
+RUSAGE_CHILDREN before and after it; the median and quartiles of each
 end-to-end metric per side, the number of pairs the after side won (by the
 direction BENCHMARK.json gives the metric), the machine (nproc, Python and
 numpy versions) and both sides' commits and tree hashes. It is rewritten
@@ -29,6 +31,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -77,8 +80,10 @@ def _extract(repo: Path, tree: str, dest: Path) -> None:
 
 def _run(checkout: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
@@ -86,7 +91,10 @@ def _run(checkout: Path, workload: str, seed: int) -> dict:
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "children": {"minor_faults": after.ru_minflt - before.ru_minflt,
+                         "cpu_s": round(sum(getattr(after, f) - getattr(before, f)
+                                            for f in ("ru_utime", "ru_stime")), 3)}}
 
 
 def _spread(values: list[float]) -> dict:

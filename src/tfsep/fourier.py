@@ -57,10 +57,12 @@ def _butterfly(top, bottom, tw, plus, minus):
     np.subtract(top, minus, out=minus)
 
 
-def _fft_core(x: np.ndarray, sign: float, out: np.ndarray | None = None) -> np.ndarray:
+def _fft_core(x: np.ndarray, sign: float, out: np.ndarray | None = None,
+              chunks: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized DFT sum_n x[n] exp(sign*2*pi*i*k*n/N) along the last axis,
     N a power of two, as a new C-contiguous complex128 array, or written into
     `out` (complex128, x's shape), which may be x itself; x is otherwise only read.
+    `chunks` is a complex128 (2, N, cols) pair of chunk buffers to reuse.
 
     A Stockham autosort in radix-4 steps, after one radix-2 step when log2 N
     is odd. Each radix-4 step is its two radix-2 levels with their own
@@ -76,15 +78,15 @@ def _fft_core(x: np.ndarray, sign: float, out: np.ndarray | None = None) -> np.n
     n = x.shape[-1]
     rows = x.reshape(-1, n)
     dest = np.empty(rows.shape, dtype=np.complex128) if out is None else out.reshape(rows.shape)
-    cols = max(1, min(_CHUNK_POINTS // n, rows.shape[0]))
+    cols = max(1, min(_CHUNK_POINTS // n, rows.shape[0])) if chunks is None else chunks.shape[2]
     odd = (n.bit_length() - 1) % 2
     first = _twiddles(1, sign) if odd else None
     steps = [(step, _twiddles(step, sign), _twiddles(2 * step, sign))
              for step in (1 << e for e in range(odd, n.bit_length() - 1, 2))]
-    buf = np.empty((2, n, cols), dtype=np.complex128)
+    chunks = np.empty((2, n, cols), dtype=np.complex128) if chunks is None else chunks
     for lo in range(0, rows.shape[0], cols):
         b = min(cols, rows.shape[0] - lo)
-        src, dst = buf[0, :, :b], buf[1, :, :b]
+        src, dst = chunks[0, :, :b], chunks[1, :, :b]
         np.copyto(src, rows[lo:lo + b].T)
         if odd:
             y, d = src.reshape(n, 1, b), dst.reshape(n // 2, 2, 1, b)
@@ -160,31 +162,39 @@ def _rfft(frames: np.ndarray, n: int, window=1.0) -> np.ndarray:
     return spec
 
 
-def _irfft(spec: np.ndarray, n: int) -> np.ndarray:
+def _irfft(spec: np.ndarray, n: int, rows: int | None = None):
     """Real rows of n samples whose DFT bins 0..n/2 are the rows of the
-    matrix `spec`; the imaginary parts of bins 0 and n/2 are ignored, as in a
-    real inverse.
+    matrix `spec`, yielded as views of one buffer, about `rows` rows at a time
+    (all by default) but whole FFT chunks, so that every row's products round
+    as in one block; the imaginary parts of bins 0 and n/2 are ignored.
 
     Inverts `_rfft`'s packing: Z[k] = conj(A[k]) X[k] + conj(B[k]) conj(X[n/2 - k])
-    for k < n/2, a block of rows at a time, then one inverse n/2-point
+    for k < n/2, a chunk of rows at a time with the mirror term in the chunk
+    pair, which the transform fills only after; then one inverse n/2-point
     transform over Z gives x[2j] + i x[2j+1], whose float64 view is the row
     of samples.
     """
     m = n // 2
     ca, cb = np.conjugate(_half_twiddles(n))[:, 1:m]
-    z = np.empty((spec.shape[0], m), dtype=np.complex128)
-    block = max(1, _CHUNK_POINTS // m)
-    for lo in range(0, spec.shape[0], block):
-        x, zb = spec[lo:lo + block], z[lo:lo + block, 1:]
-        np.multiply(x[:, 1:m], ca, out=zb)
-        mirror = np.conjugate(x[:, m - 1:0:-1])
-        mirror *= cb
-        zb += mirror
-    dc, nyquist = spec[:, 0].real, spec[:, m].real
-    z[:, 0] = 0.5 * (dc + nyquist) + 0.5j * (dc - nyquist)
-    samples = _fft_core(z, 1.0, out=z).view(np.float64)
-    samples /= m
-    return samples
+    cols = max(1, min(_CHUNK_POINTS // m, spec.shape[0]))
+    rows = cols * max(1, rows // cols) if rows else spec.shape[0]
+    chunks = np.empty((2, m, cols), dtype=np.complex128)
+    buf = np.empty((min(rows, spec.shape[0]), m), dtype=np.complex128)
+    for start in range(0, spec.shape[0], rows):
+        x = spec[start:start + rows]
+        z = buf[:x.shape[0]]
+        for lo in range(0, x.shape[0], cols):
+            zb = z[lo:lo + cols, 1:]
+            np.multiply(x[lo:lo + cols, 1:m], ca, out=zb)
+            mirror = chunks.reshape(-1)[:zb.size].reshape(zb.shape)
+            np.conjugate(x[lo:lo + cols, m - 1:0:-1], out=mirror)
+            mirror *= cb
+            zb += mirror
+        dc, nyquist = x[:, 0].real, x[:, m].real
+        z[:, 0] = 0.5 * (dc + nyquist) + 0.5j * (dc - nyquist)
+        samples = _fft_core(z, 1.0, out=z, chunks=chunks).view(np.float64)
+        samples /= m
+        yield samples
 
 
 def make_window(kind: WindowKind, n: int) -> np.ndarray:
@@ -238,11 +248,11 @@ def _frame_count(n: int, cfg: StftConfig) -> int:
 
 
 # frames x fft_size of one STFT, 8.5x the largest default-grid STFT of a 12 s,
-# 44.1 kHz recording (100 ms, 25 ms hop). The tracemalloc peaks of stft (result
-# included) and istft at 2^21 and 2^22 points: 10 and 12 bytes per point for 2^5-
-# to 2^16-point FFTs at a quarter-window hop (one frame-sized array each), so 320
-# and 390 MiB at this limit; 16 and 25 when hop == window; up to 36 and 36.5 for 2
-# frames of 2^20 points (the chunk buffers), so up to 1.1 GiB.
+# 44.1 kHz recording (100 ms, 25 ms hop). The tracemalloc peaks of stft and istft,
+# output included, at 2^21 and 2^22 points: 10 and 3.4-5.6 bytes per point for 2^5-
+# to 2^16-point FFTs at a quarter-window hop, so 320 and at most 180 MiB at this
+# limit; 16 and 9.4-12.1 when hop == window; up to 36 and 54 for 2 frames of 2^20
+# points (the chunk buffers; istft's sums exist before it inverts), so up to 1.7 GiB.
 STFT_MAX_POINTS = 1 << 25
 
 
@@ -269,18 +279,19 @@ def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
     return TFRepresentation(spec.T, cfg, s.rate, len(s))
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) -> np.ndarray:
     """out[t*hop + j] = sum over t of frames[t, j], over (frames - 1)*hop + width
-    samples.
+    samples, added into `out` (C-contiguous rows of hop samples) or zeros.
 
     The frames are cut into hop-wide blocks; block b of frame t lands in row
     t + b of a (frames + blocks) x hop accumulator. Adding the last block first
     gives every sample its frames in ascending t, so the sums are bit-identical
-    to adding one frame at a time.
+    to adding one frame at a time, also when successive runs of frames are
+    added at their own rows.
     """
     n_frames, width = frames.shape
     blocks = -(-width // hop)
-    out = np.zeros((n_frames + blocks, hop))
+    out = np.zeros((n_frames + blocks, hop)) if out is None else out
     for blk in range(blocks - 1, -1, -1):
         part = frames[:, blk * hop:(blk + 1) * hop]
         out[blk:blk + n_frames, :part.shape[1]] += part
@@ -289,10 +300,11 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
 
 def istft(m: TFRepresentation) -> Signal:
     """Inverse STFT by weighted overlap-add with window-square normalization,
-    trimmed to the original signal length.
+    trimmed to the original signal length, about an eighth of the frames at a time.
 
-    Raises if the normalization denominator drops below 1e-12 anywhere in the
-    retained range (a window/hop combination that does not cover the signal).
+    Raises, before any frame is inverted, if the normalization denominator
+    drops below 1e-12 anywhere in the retained range (a window/hop
+    combination that does not cover the signal).
     """
     cfg = m.config
     if not isinstance(cfg, StftConfig):
@@ -300,16 +312,30 @@ def istft(m: TFRepresentation) -> Signal:
     shape = (cfg.fft_size // 2 + 1, _frame_count(m.original_len, cfg))
     if m.coeffs.shape != shape:
         raise ValueError(f"expected STFT coefficients of shape {shape}, got {m.coeffs.shape}")
-    frames = _irfft(m.coeffs.T, cfg.fft_size)[:, :cfg.win_size]
-    window = make_window(cfg.window, cfg.win_size)
-    kept = slice(cfg.win_size // 2, cfg.win_size // 2 + m.original_len)
-    den = _overlap_add(np.broadcast_to(window * window, frames.shape), cfg.hop)[kept]
-    if np.any(den < 1e-12):
+    n_frames, win, hop = shape[1], cfg.win_size, cfg.hop
+    window = make_window(cfg.window, win)
+    blocks = -(-win // hop)
+    # window-square sums by rows of hop samples: rows blocks - 1 .. n_frames - 1
+    # add the same squares in one order, so `few` frames give every distinct row,
+    # and the kept samples less n_frames - few rows take every value the kept take
+    few = min(n_frames, blocks + 3)
+    den = np.zeros((few + blocks, hop))
+    _overlap_add(np.broadcast_to(window * window, (few, win)), hop, den)
+    kept = slice(win // 2, win // 2 + m.original_len)
+    if np.any(den.reshape(-1)[kept.start:kept.stop - (n_frames - few) * hop] < 1e-12):
         raise ValueError("window/hop configuration leaves uncovered samples (denominator ~ 0)")
-    frames *= window
-    num = _overlap_add(frames, cfg.hop)[kept]
-    num /= den
-    return Signal(num, m.rate)
+    num, lo = np.zeros((n_frames + blocks, hop)), 0
+    for samples in _irfft(m.coeffs.T, cfg.fft_size, max(1, n_frames // 8)):
+        frames = samples[:, :win]
+        frames *= window
+        _overlap_add(frames, hop, num[lo:])
+        lo += len(frames)
+    head = min(blocks - 1, n_frames)
+    with np.errstate(divide="ignore", invalid="ignore"):   # zero sums lie outside `kept`
+        num[:head] /= den[:head]
+        num[head:n_frames] /= den[head]
+        num[n_frames:] /= den[few:]
+    return Signal(num.reshape(-1)[kept], m.rate)
 
 
 def export_heatmap(matrix, pgm_path, csv_path=None) -> None:

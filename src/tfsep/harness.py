@@ -14,7 +14,7 @@ import sys
 import wave
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -182,7 +182,9 @@ def run_ibm_trial(mix: Mixture, cfg: DecompositionConfig) -> MetricScores:
     # forward (time_s is it plus the inverse); the mask reads |target| and weighs as bools
     target_tf = decompose(mix.sources[0], cfg)
     target_tf = replace(target_tf, coeffs=np.abs(target_tf.coeffs))
-    interference = reduce(add, (decompose(src, cfg) for src in mix.sources[1:]))
+    interference = decompose(mix.sources[1], cfg)
+    for src in mix.sources[2:]:                # summed in place, one source alive at a time
+        add(interference, decompose(src, cfg))
     mask = ideal_binary_mask(target_tf, interference).astype(bool)
     del target_tf, interference
     t0 = perf_counter()

@@ -46,9 +46,11 @@ def reconstruct(tf: TFRepresentation) -> Signal:
 
 
 def add(a: TFRepresentation, b: TFRepresentation) -> TFRepresentation:
-    """Coefficient-wise sum of two congruent representations."""
+    """Add b's coefficients into a's array, which must be writable, and return a;
+    b is only read. Incongruent operands raise before anything is written."""
     _check_congruent(a, b)
-    return replace(a, coeffs=a.coeffs + b.coeffs)
+    np.add(a.coeffs, b.coeffs, out=a.coeffs)
+    return a
 
 
 def ideal_binary_mask(target: TFRepresentation, interference: TFRepresentation,

@@ -173,30 +173,39 @@ def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank, mode: PadMode,
             np.einsum("rmk,k->rm", windows, bank.dec_hi[::-1].copy(), out=hi))
 
 
+def _synthesis_buffers(k: int, steps) -> tuple[np.ndarray, np.ndarray]:
+    """Flat input and output buffers for _synthesis_pair at every (rows, m) of `steps`."""
+    return (np.empty(max(rows * (2 * m + 2 * k - 2) for rows, m in steps)),
+            np.empty(max(rows * (2 * m + k) for rows, m in steps)))
+
+
 def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
-                    mode: PadMode, out_len: int) -> np.ndarray:
-    """Inverse of _analysis_pair, trimmed to out_len columns."""
+                    mode: PadMode, out_len: int, buffers=None) -> np.ndarray:
+    """Inverse of _analysis_pair, trimmed to out_len columns, as a view of
+    buffers[1] (from _synthesis_buffers; new ones by default); the interleaved
+    input goes at the head of buffers[0], where lo and hi may already lie."""
     k = len(bank)
     rows, m = lo.shape
+    inputs, outputs = buffers or _synthesis_buffers(k, [(rows, m)])
     # hi[0], lo[0], hi[1], lo[1], ... between k - 2 zeros in front and k behind:
     # window j ends in ..., hi[j-1], lo[j-1], hi[j], lo[j], every term of
     # outputs 2j and 2j+1, against the interleaved taps reversed
-    padded = np.zeros((rows, 2 * m + 2 * k - 2))
-    padded[:, k - 2:k - 2 + 2 * m:2] = hi
-    padded[:, k - 1:k - 1 + 2 * m:2] = lo
+    padded = inputs[:rows * (2 * m + 2 * k - 2)].reshape(rows, -1)
+    padded[:, :k - 2] = padded[:, k - 2 + 2 * m:] = 0.0
+    pairs = padded[:, k - 2:k - 2 + 2 * m].reshape(rows, m, 2)
+    pairs[..., 0], pairs[..., 1] = hi, lo
     windows = sliding_window_view(padded, k, axis=1)[:, ::2]
-    full = np.empty((rows, m + k // 2, 2))
+    full = outputs[:rows * (2 * m + k)].reshape(rows, m + k // 2, 2)
     for p in (0, 1):
         taps = np.stack([bank.rec_hi[p::2], bank.rec_lo[p::2]], axis=1)[::-1].ravel()
         np.einsum("rmk,k->rm", windows, taps, out=full[..., p])
     full = full.reshape(rows, -1)[:, :-1]  # 2m + k - 1 columns, the last one zero
     if mode == PadMode.PERIODIZATION:
         n2 = 2 * m
-        out = full[:, :n2].copy()
         for start in range(n2, full.shape[1], n2):  # fold the circular wrap back in
             block = full[:, start:start + n2]
-            out[:, :block.shape[1]] += block
-        return out[:, :out_len]
+            full[:, :block.shape[1]] += block
+        return full[:, :out_len]
     return full[:, k - 2: k - 2 + out_len]
 
 
@@ -306,14 +315,16 @@ def dwt_bands(tf: TFRepresentation) -> list[np.ndarray]:
 
 def waverec(tf: TFRepresentation) -> Signal:
     """Invert wavedec with the registered bank its config names, and trim to
-    the original length."""
+    the original length. Every level synthesises into one pair of buffers."""
     approx, *details = dwt_bands(tf)
     bank = lookup(tf.config.wavelet)
     # each level's output is as long as the next finer detail band
     out_lens = [d.size for d in details[1:]] + [tf.original_len]
+    buffers = _synthesis_buffers(len(bank), [(1, d.size) for d in details])
     approx = approx[np.newaxis]
     for detail, out_len in zip(details, out_lens):
-        approx = _synthesis_pair(approx, detail[np.newaxis], bank, tf.config.mode, out_len)
+        approx = _synthesis_pair(approx, detail[np.newaxis], bank, tf.config.mode, out_len,
+                                 buffers)
     return Signal(approx[0], tf.rate)
 
 
@@ -347,17 +358,29 @@ def wpt(s: Signal, cfg: WptConfig) -> TFRepresentation:
 
 def iwpt(tf: TFRepresentation) -> Signal:
     """Invert wpt with the registered bank its config names, and trim to the
-    original length."""
+    original length. Every level synthesises into one pair of buffers, the
+    leaves going straight into the first level's interleaved input."""
     cfg = tf.config
     bank = _registered_bank(cfg, WptConfig, tf.original_len)
     chain = _length_chain(tf.original_len, len(bank), cfg.levels, cfg.mode)
     shape = (1 << cfg.levels, chain[-1])
     if tf.coeffs.shape != shape:
         raise ValueError(f"expected WPT coefficients of shape {shape}, got {tf.coeffs.shape}")
-    bands = tf.coeffs[gray_permutation(cfg.levels)]
+    rows, m, k = shape[0] // 2, shape[1], len(bank)
+    buffers = _synthesis_buffers(k, [(rows >> i, chain[cfg.levels - i]) for i in range(cfg.levels)])
+    # frequency rank f holds natural-order leaf j = f ^ (f >> 1), which is the
+    # first level's lo of pair j // 2 when j is even, else its hi
+    pairs = buffers[0][:rows * (2 * m + 2 * k - 2)].reshape(rows, -1)[:, k - 2:k - 2 + 2 * m]
+    pairs = pairs.reshape(rows, m, 2)
+    leaf = np.arange(shape[0])
+    leaf ^= leaf >> 1
+    pairs[leaf >> 1, :, 1 - (leaf & 1)] = tf.coeffs
+    lo, hi = pairs[..., 1], pairs[..., 0]
     for level in range(cfg.levels, 0, -1):
-        bands = _synthesis_pair(bands[0::2], bands[1::2], bank, cfg.mode, chain[level - 1])
-    return Signal(bands[0], tf.rate)
+        bands = _synthesis_pair(lo, hi, bank, cfg.mode, chain[level - 1], buffers)
+        lo, hi = bands[0::2], bands[1::2]
+    del buffers, pairs                 # the output buffer holds the first level's margins:
+    return Signal(bands[0].copy(), tf.rate)   # keep no more of it than the signal
 
 
 # ---------------------------------------------------------------------------

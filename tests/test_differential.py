@@ -9,6 +9,7 @@ odd lengths, every depth up to max_level, all three boundary modes."""
 from math import ceil, gcd
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from scipy.signal import resample_poly
 
@@ -17,7 +18,8 @@ from tfsep.fourier import (_CHUNK_POINTS, StftConfig, WindowKind, _fft_core, _fr
                            ifft, istft, make_window, stft)
 from tfsep.masking import DwtConfig, WptConfig, decompose, reconstruct
 from tfsep.signal import PadMode, Signal, resample
-from tfsep.wavelet import _analysis_pair, _synthesis_pair, lookup, max_level
+from tfsep.wavelet import (_analysis_pair, _length_chain, _synthesis_pair, dwt_bands,
+                           gray_permutation, lookup, max_level)
 
 
 @pytest.mark.parametrize("log2n", range(17))
@@ -45,7 +47,7 @@ def test_rfft_and_irfft_match_numpy(log2n, rng):
     spec = rng.normal(size=(3, n // 2 + 1)) + 1j * rng.normal(size=(3, n // 2 + 1))
     ref = np.fft.irfft(spec, n)
     for layout in (spec, np.asfortranarray(spec)):   # istft passes a transposed view
-        assert np.max(np.abs(_irfft(layout, n) - ref)) <= 1e-13 * np.max(np.abs(ref)), n
+        assert np.max(np.abs(next(_irfft(layout, n)) - ref)) <= 1e-13 * np.max(np.abs(ref)), n
 
 
 def test_rfft_end_bins_are_the_complex_transforms(rng):
@@ -207,12 +209,24 @@ def _frozen_stft_istft(x, cfg):
     return coeffs, None if np.any(den < 1e-12) else num / den
 
 
+def _istft_blocks(n_frames, half):
+    """Rows per block and blocks of istft's block loop over n_frames frames
+    of half + 1 bins: whole FFT chunks, at most an eighth of the frames while
+    that is at least a chunk."""
+    cols = max(1, min(_CHUNK_POINTS // half, n_frames))
+    rows = cols * max(1, n_frames // (8 * cols))
+    return rows, -(-n_frames // rows)
+
+
 # stft writes the windowed frames straight into the packed buffer and
-# transforms in place; istft builds its mirror term per row block and adds
-# products into the overlap-add directly. None of it may move a bit.
+# transforms in place; istft inverts, windows and adds a block of frames at a
+# time, builds its mirror term in the chunk buffers and keeps the window-square
+# sums of a few frames only. None of it may move a bit. Every window size has
+# a case whose inverse spans 3 blocks or more and ends mid-block.
 @pytest.mark.parametrize("win", [2, 3, 5, 8, 40, 100, 257, 512, 800, 1024])
 def test_stft_and_istft_match_the_frozen_real_fft_path_bit_for_bit(win, rng):
-    for n in (1, 2, 3, 17, 1001, 4000, 16000):
+    spanned = False
+    for n in (1, 2, 3, 17, 1001, 4000, 16000, 40001):
         x = rng.normal(size=n)
         x[::7] = -0.0                         # signed zeros reach the packed rows
         for hop in sorted({1, 2, max(1, win // 4), max(1, win // 2), max(1, 3 * win // 4), win}):
@@ -230,6 +244,9 @@ def test_stft_and_istft_match_the_frozen_real_fft_path_bit_for_bit(win, rng):
                         istft(tf)
                 else:
                     assert _bit_identical(istft(tf).samples, ref_samples), case
+                    rows, blocks = _istft_blocks(_frame_count(n, cfg), cfg.fft_size // 2)
+                    spanned |= blocks >= 3 and _frame_count(n, cfg) % rows > 0
+    assert spanned
 
 
 @pytest.mark.parametrize("window", list(WindowKind))
@@ -324,7 +341,7 @@ def _frozen_padded_resample(x, from_rate, to_rate):
     cutoff = 0.5 * min(1.0, up / down)
     offsets = np.arange(-half + 1, half + 1)
     xp = np.concatenate([np.zeros(half), x, np.zeros(half + 2)])
-    windows = np.lib.stride_tricks.sliding_window_view(xp, 2 * half)
+    windows = sliding_window_view(xp, 2 * half)
     out = np.empty(n_out)
     for phase in range(min(up, n_out)):
         t = phase * down / up
@@ -366,6 +383,65 @@ def test_wavelet_roundtrip_at_odd_lengths_up_to_max_level(config, mode, wavelet,
             assert len(back) == n
             err = np.max(np.abs(back.samples - s.samples))
             assert err < 1e-10, (n, levels, err)
+
+
+def _frozen_synthesis_pair(lo, hi, bank, mode, out_len):
+    """_synthesis_pair as it was when every call allocated its interleaved
+    input, its output and, in periodization, the folded copy it returned."""
+    k = len(bank)
+    rows, m = lo.shape
+    padded = np.zeros((rows, 2 * m + 2 * k - 2))
+    padded[:, k - 2:k - 2 + 2 * m:2] = hi
+    padded[:, k - 1:k - 1 + 2 * m:2] = lo
+    windows = sliding_window_view(padded, k, axis=1)[:, ::2]
+    full = np.empty((rows, m + k // 2, 2))
+    for p in (0, 1):
+        taps = np.stack([bank.rec_hi[p::2], bank.rec_lo[p::2]], axis=1)[::-1].ravel()
+        np.einsum("rmk,k->rm", windows, taps, out=full[..., p])
+    full = full.reshape(rows, -1)[:, :-1]
+    if mode == PadMode.PERIODIZATION:
+        n2 = 2 * m
+        out = full[:, :n2].copy()
+        for start in range(n2, full.shape[1], n2):
+            block = full[:, start:start + n2]
+            out[:, :block.shape[1]] += block
+        return out[:, :out_len]
+    return full[:, k - 2: k - 2 + out_len]
+
+
+def _frozen_inverse(tf):
+    """waverec or iwpt as a loop of _frozen_synthesis_pair, one level at a
+    time, the packet leaves first gathered into natural order."""
+    cfg = tf.config
+    bank = lookup(cfg.wavelet)
+    if isinstance(cfg, DwtConfig):
+        approx, *details = dwt_bands(tf)
+        out_lens = [d.size for d in details[1:]] + [tf.original_len]
+        approx = approx[np.newaxis]
+        for detail, out_len in zip(details, out_lens):
+            approx = _frozen_synthesis_pair(approx, detail[np.newaxis], bank, cfg.mode, out_len)
+        return approx[0]
+    chain = _length_chain(tf.original_len, len(bank), cfg.levels, cfg.mode)
+    bands = tf.coeffs[gray_permutation(cfg.levels)]
+    for level in range(cfg.levels, 0, -1):
+        bands = _frozen_synthesis_pair(bands[0::2], bands[1::2], bank, cfg.mode, chain[level - 1])
+    return bands[0]
+
+
+# waverec and iwpt synthesise every level into one pair of buffers, folding
+# the periodization wrap in place, and iwpt scatters its leaves straight into
+# the first level's input. None of it may move a bit.
+@pytest.mark.parametrize("mode", [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC])
+@pytest.mark.parametrize("wavelet", ["haar", "sym8", "coif5", "db20", "coif17"])
+def test_wavelet_inverses_match_the_frozen_level_loop_bit_for_bit(wavelet, mode, rng):
+    for n in (4097, 1001):                       # depths 1-12 and 1-9
+        x = rng.normal(size=n)
+        x[::7] = -0.0
+        for levels in range(1, min(12, max_level(n)) + 1):
+            for config in (DwtConfig, WptConfig):
+                tf = decompose(Signal(x, 8000), config(wavelet, levels, mode))
+                assert _bit_identical(reconstruct(tf).samples, _frozen_inverse(tf)), (
+                    n, levels, config)
 
 
 # The filter-bank kernels and the resampler as explicit products, summed in

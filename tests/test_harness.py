@@ -198,19 +198,22 @@ class TestIbmTrial:
     # no step may run on top of every coefficient array of the trial (the
     # mixture's, the sources', their sum, the mask and the masked copy of a dense
     # 5 ms / 1.25 ms hop STFT): the target is kept as its magnitudes (half an
-    # array), the sources are decomposed one at a time and released once the
-    # mask is built, before the mixture is transformed, and the mask is held as
-    # booleans. The peak is then the step that sums the sources (|target|,
-    # running sum, next source and new sum: 3.59x), or with two sources the
-    # inverse: on these 1 s signals the masked copy, istft's transform buffer
-    # and the FFT's chunk buffers (2.82x); on 12 s, 16 kHz ones the masked
-    # copy, the transform buffer and the two overlap-add sums (2.31x).
+    # array), the sources are decomposed one at a time, each added into the
+    # first one's array, and released once the mask is built, before the mixture
+    # is transformed, and the mask is held as booleans. On 2 s signals the peak
+    # is then the third source's stft beside |target| and the sum (3.59x: the
+    # FFT's chunk buffers weigh on so short a signal), on 12 s ones the same
+    # step at 2.82x (3.50x when each sum was a new array). With two sources on
+    # 1 s, 16 kHz signals, it is the inverse: the masked copy, istft's block
+    # buffers and numpy's ufunc buffers (2.59x; 2.82x when istft held a
+    # transform buffer for every frame).
     # They were 4.09x and 3.00x with the target's coefficients and a float mask.
-    @pytest.mark.parametrize("n_sources, rate, bound", [(3, 8000, 3.75), (2, 16000, 2.95)])
-    def test_coefficients_released_before_reconstruction(self, n_sources, rate, bound):
+    @pytest.mark.parametrize("n_sources, rate, seconds, bound", [
+        (3, 8000, 2, 3.65), (3, 8000, 12, 3.0), (2, 16000, 1, 2.7)])
+    def test_coefficients_released_before_reconstruction(self, n_sources, rate, seconds, bound):
         import tracemalloc
         gen = np.random.default_rng(0)
-        sources = tuple(Signal(gen.normal(size=16000), rate) for _ in range(n_sources))
+        sources = tuple(Signal(gen.normal(size=seconds * rate), rate) for _ in range(n_sources))
         mix = Mixture(Signal(sum(s.samples for s in sources), rate), sources,
                       tuple("abc"[:n_sources]))
         cfg = build_config(stft_entry("hann", 5.0, 1.25), rate)

@@ -57,6 +57,32 @@ class TestDispatch:
         lhs, rhs = both.coeffs, summed.coeffs
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * max(1.0, np.abs(rhs).max())
 
+    # add sums into its first operand's array, which a trial's interference sum
+    # relies on to hold one running sum, and leaves the second as it was
+    @pytest.mark.parametrize("build", ALL_CONFIG_BUILDERS)
+    def test_add_sums_into_its_first_operand(self, rng, build):
+        cfg = build(16000)
+        a = decompose(Signal(rng.normal(size=8000), 16000), cfg)
+        b = decompose(Signal(rng.normal(size=8000), 16000), cfg)
+        a_before, b_before = a.coeffs.copy(), b.coeffs.copy()
+        buffer = a.coeffs
+        summed = add(a, b)
+        assert summed is a and summed.coeffs is buffer
+        assert _bit_identical(summed.coeffs, a_before + b_before)
+        assert _bit_identical(b.coeffs, b_before)
+
+    @pytest.mark.parametrize("other", [
+        lambda tf: replace(tf, config=DwtConfig("sym8", 5)),          # same length, other config
+        lambda tf: replace(tf, coeffs=tf.coeffs[:-1])],               # other shape
+        ids=["config", "shape"])
+    def test_add_rejects_incongruent_operands_before_writing(self, rng, other):
+        a = decompose(Signal(rng.normal(size=4000), 16000), DwtConfig("sym8", 4))
+        a_before = a.coeffs.copy()
+        b = other(decompose(Signal(rng.normal(size=4000), 16000), DwtConfig("sym8", 4)))
+        with pytest.raises(ValueError, match="not congruent"):
+            add(a, b)
+        assert _bit_identical(a.coeffs, a_before)
+
     def test_band_layout_matches_matrix(self, rng):
         s = Signal(rng.normal(size=4000), 16000)
         tf = decompose(s, stft_32ms(16000))
