@@ -164,15 +164,13 @@ def _rfft(frames: np.ndarray, n: int, window=1.0) -> np.ndarray:
 
 def _irfft(spec: np.ndarray, n: int, rows: int | None = None):
     """Real rows of n samples whose DFT bins 0..n/2 are the rows of the
-    matrix `spec`, yielded as views of one buffer, about `rows` rows at a time
-    (all by default) but whole FFT chunks, so that every row's products round
-    as in one block; the imaginary parts of bins 0 and n/2 are ignored.
+    matrix `spec`, yielded as views of one buffer, about `rows` rows (all by
+    default) but whole FFT chunks at a time; bins 0 and n/2 are taken as real.
 
     Inverts `_rfft`'s packing: Z[k] = conj(A[k]) X[k] + conj(B[k]) conj(X[n/2 - k])
-    for k < n/2, a chunk of rows at a time with the mirror term in the chunk
-    pair, which the transform fills only after; then one inverse n/2-point
-    transform over Z gives x[2j] + i x[2j+1], whose float64 view is the row
-    of samples.
+    for k < n/2, a chunk of rows at a time, the mirror term in the chunk pair
+    the transform then fills; one inverse n/2-point transform over Z gives
+    x[2j] + i x[2j+1], whose float64 view is the row of samples.
     """
     m = n // 2
     ca, cb = np.conjugate(_half_twiddles(n))[:, 1:m]
@@ -181,15 +179,13 @@ def _irfft(spec: np.ndarray, n: int, rows: int | None = None):
     chunks = np.empty((2, m, cols), dtype=np.complex128)
     buf = np.empty((min(rows, spec.shape[0]), m), dtype=np.complex128)
     for start in range(0, spec.shape[0], rows):
-        x = spec[start:start + rows]
-        z = buf[:x.shape[0]]
+        x, z = spec[start:start + rows], buf[:spec.shape[0] - start]
         for lo in range(0, x.shape[0], cols):
             zb = z[lo:lo + cols, 1:]
             np.multiply(x[lo:lo + cols, 1:m], ca, out=zb)
             mirror = chunks.reshape(-1)[:zb.size].reshape(zb.shape)
             np.conjugate(x[lo:lo + cols, m - 1:0:-1], out=mirror)
-            mirror *= cb
-            zb += mirror
+            zb += np.multiply(mirror, cb, out=mirror)
         dc, nyquist = x[:, 0].real, x[:, m].real
         z[:, 0] = 0.5 * (dc + nyquist) + 0.5j * (dc - nyquist)
         samples = _fft_core(z, 1.0, out=z, chunks=chunks).view(np.float64)
@@ -286,8 +282,7 @@ def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) ->
     The frames are cut into hop-wide blocks; block b of frame t lands in row
     t + b of a (frames + blocks) x hop accumulator. Adding the last block first
     gives every sample its frames in ascending t, so the sums are bit-identical
-    to adding one frame at a time, also when successive runs of frames are
-    added at their own rows.
+    to adding one frame at a time, also over successive runs of frames.
     """
     n_frames, width = frames.shape
     blocks = -(-width // hop)
@@ -302,9 +297,8 @@ def istft(m: TFRepresentation) -> Signal:
     """Inverse STFT by weighted overlap-add with window-square normalization,
     trimmed to the original signal length, about an eighth of the frames at a time.
 
-    Raises, before any frame is inverted, if the normalization denominator
-    drops below 1e-12 anywhere in the retained range (a window/hop
-    combination that does not cover the signal).
+    Raises before inverting if the normalization denominator drops below 1e-12
+    anywhere in the retained range (a window/hop combination that does not cover the signal).
     """
     cfg = m.config
     if not isinstance(cfg, StftConfig):
@@ -315,9 +309,8 @@ def istft(m: TFRepresentation) -> Signal:
     n_frames, win, hop = shape[1], cfg.win_size, cfg.hop
     window = make_window(cfg.window, win)
     blocks = -(-win // hop)
-    # window-square sums by rows of hop samples: rows blocks - 1 .. n_frames - 1
-    # add the same squares in one order, so `few` frames give every distinct row,
-    # and the kept samples less n_frames - few rows take every value the kept take
+    # rows blocks - 1 .. n_frames - 1 of hop samples add the same window squares in
+    # one order, so `few` frames' sums hold every distinct row of the signal's
     few = min(n_frames, blocks + 3)
     den = np.zeros((few + blocks, hop))
     _overlap_add(np.broadcast_to(window * window, (few, win)), hop, den)
@@ -326,10 +319,8 @@ def istft(m: TFRepresentation) -> Signal:
         raise ValueError("window/hop configuration leaves uncovered samples (denominator ~ 0)")
     num, lo = np.zeros((n_frames + blocks, hop)), 0
     for samples in _irfft(m.coeffs.T, cfg.fft_size, max(1, n_frames // 8)):
-        frames = samples[:, :win]
-        frames *= window
-        _overlap_add(frames, hop, num[lo:])
-        lo += len(frames)
+        _overlap_add(np.multiply(samples[:, :win], window, out=samples[:, :win]), hop, num[lo:])
+        lo += len(samples)
     head = min(blocks - 1, n_frames)
     with np.errstate(divide="ignore", invalid="ignore"):   # zero sums lie outside `kept`
         num[:head] /= den[:head]

@@ -46,8 +46,7 @@ def reconstruct(tf: TFRepresentation) -> Signal:
 
 
 def add(a: TFRepresentation, b: TFRepresentation) -> TFRepresentation:
-    """Add b's coefficients into a's array, which must be writable, and return a;
-    b is only read. Incongruent operands raise before anything is written."""
+    """Add b's coefficients into a's array and return a; incongruent operands raise first."""
     _check_congruent(a, b)
     np.add(a.coeffs, b.coeffs, out=a.coeffs)
     return a

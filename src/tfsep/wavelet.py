@@ -173,20 +173,18 @@ def _analysis_pair(bands: np.ndarray, bank: WaveletFilterBank, mode: PadMode,
             np.einsum("rmk,k->rm", windows, bank.dec_hi[::-1].copy(), out=hi))
 
 
-def _synthesis_buffers(k: int, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Flat input and output buffers for _synthesis_pair at every (rows, m) of `steps`."""
-    return (np.empty(max(rows * (2 * m + 2 * k - 2) for rows, m in steps)),
-            np.empty(max(rows * (2 * m + k) for rows, m in steps)))
+def _synthesis_buffers(k: int, rows: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat input and output buffers for _synthesis_pair at rows x m and any smaller level."""
+    return np.empty(rows * (2 * m + 2 * k - 2)), np.empty(rows * (2 * m + k))
 
 
 def _synthesis_pair(lo: np.ndarray, hi: np.ndarray, bank: WaveletFilterBank,
                     mode: PadMode, out_len: int, buffers=None) -> np.ndarray:
-    """Inverse of _analysis_pair, trimmed to out_len columns, as a view of
-    buffers[1] (from _synthesis_buffers; new ones by default); the interleaved
-    input goes at the head of buffers[0], where lo and hi may already lie."""
+    """Inverse of _analysis_pair, trimmed to out_len columns, as a view of buffers[1]
+    (new by default); the interleaved input goes at the head of buffers[0]."""
     k = len(bank)
     rows, m = lo.shape
-    inputs, outputs = buffers or _synthesis_buffers(k, [(rows, m)])
+    inputs, outputs = buffers or _synthesis_buffers(k, rows, m)
     # hi[0], lo[0], hi[1], lo[1], ... between k - 2 zeros in front and k behind:
     # window j ends in ..., hi[j-1], lo[j-1], hi[j], lo[j], every term of
     # outputs 2j and 2j+1, against the interleaved taps reversed
@@ -315,16 +313,15 @@ def dwt_bands(tf: TFRepresentation) -> list[np.ndarray]:
 
 def waverec(tf: TFRepresentation) -> Signal:
     """Invert wavedec with the registered bank its config names, and trim to
-    the original length. Every level synthesises into one pair of buffers."""
+    the original length."""
     approx, *details = dwt_bands(tf)
     bank = lookup(tf.config.wavelet)
     # each level's output is as long as the next finer detail band
     out_lens = [d.size for d in details[1:]] + [tf.original_len]
-    buffers = _synthesis_buffers(len(bank), [(1, d.size) for d in details])
+    buffers = _synthesis_buffers(len(bank), 1, max(d.size for d in details))
     approx = approx[np.newaxis]
-    for detail, out_len in zip(details, out_lens):
-        approx = _synthesis_pair(approx, detail[np.newaxis], bank, tf.config.mode, out_len,
-                                 buffers)
+    for d, out_len in zip(details, out_lens):
+        approx = _synthesis_pair(approx, d[np.newaxis], bank, tf.config.mode, out_len, buffers)
     return Signal(approx[0], tf.rate)
 
 
@@ -358,8 +355,7 @@ def wpt(s: Signal, cfg: WptConfig) -> TFRepresentation:
 
 def iwpt(tf: TFRepresentation) -> Signal:
     """Invert wpt with the registered bank its config names, and trim to the
-    original length. Every level synthesises into one pair of buffers, the
-    leaves going straight into the first level's interleaved input."""
+    original length."""
     cfg = tf.config
     bank = _registered_bank(cfg, WptConfig, tf.original_len)
     chain = _length_chain(tf.original_len, len(bank), cfg.levels, cfg.mode)
@@ -367,9 +363,9 @@ def iwpt(tf: TFRepresentation) -> Signal:
     if tf.coeffs.shape != shape:
         raise ValueError(f"expected WPT coefficients of shape {shape}, got {tf.coeffs.shape}")
     rows, m, k = shape[0] // 2, shape[1], len(bank)
-    buffers = _synthesis_buffers(k, [(rows >> i, chain[cfg.levels - i]) for i in range(cfg.levels)])
-    # frequency rank f holds natural-order leaf j = f ^ (f >> 1), which is the
-    # first level's lo of pair j // 2 when j is even, else its hi
+    buffers = _synthesis_buffers(k, rows, m)      # the first level is the largest
+    # frequency rank f holds natural-order leaf j = f ^ (f >> 1), which goes
+    # straight into the first level's input: pair j // 2's lo if j is even, else its hi
     pairs = buffers[0][:rows * (2 * m + 2 * k - 2)].reshape(rows, -1)[:, k - 2:k - 2 + 2 * m]
     pairs = pairs.reshape(rows, m, 2)
     leaf = np.arange(shape[0])
