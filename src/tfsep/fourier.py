@@ -321,10 +321,9 @@ def istft(m: TFRepresentation) -> Signal:
     for samples in _irfft(m.coeffs.T, cfg.fft_size, max(1, n_frames // 8)):
         _overlap_add(np.multiply(samples[:, :win], window, out=samples[:, :win]), hop, num[lo:])
         lo += len(samples)
-    head = min(blocks - 1, n_frames)
     with np.errstate(divide="ignore", invalid="ignore"):   # zero sums lie outside `kept`
-        num[:head] /= den[:head]
-        num[head:n_frames] /= den[head]
+        num[:few] /= den[:few]
+        num[few:n_frames] /= den[few - 1]
         num[n_frames:] /= den[few:]
     return Signal(num.reshape(-1)[kept], m.rate)
 
