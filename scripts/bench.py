@@ -21,8 +21,10 @@ seconds (user plus system) of the processes the run started, from
 RUSAGE_CHILDREN before and after it; the median and quartiles of each
 end-to-end metric per side, the number of pairs the after side won (by the
 direction BENCHMARK.json gives the metric), the machine (nproc, Python and
-numpy versions) and both sides' commits and tree hashes. It is rewritten
-after every pair, so an interrupted run keeps the pairs it finished.
+numpy versions), both sides' commits and tree hashes, and each side's
+`src_lines`: the lines of its src/tfsep/*.py without the generated
+_filter_tables.py. It is rewritten after every pair, so an interrupted run
+keeps the pairs it finished.
 """
 from __future__ import annotations
 
@@ -76,6 +78,11 @@ def _extract(repo: Path, tree: str, dest: Path) -> None:
     dest.mkdir(parents=True)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
+
+
+def _src_lines(checkout: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in (checkout / "src/tfsep").glob("*.py")
+               if p.name != "_filter_tables.py")
 
 
 def _run(checkout: Path, workload: str, seed: int) -> dict:
@@ -146,6 +153,7 @@ def main(argv=None) -> int:
         for i, (label, side) in enumerate(sides.items()):
             checkouts[label] = Path(tmp) / f"side{i}"
             _extract(repo, side["tree"], checkouts[label])
+            side["src_lines"] = _src_lines(checkouts[label])
         for name, count in plan:
             pairs = []
             for i in range(count):

@@ -162,30 +162,28 @@ def _rfft(frames: np.ndarray, n: int, window=1.0) -> np.ndarray:
     return spec
 
 
-def _irfft(spec: np.ndarray, n: int, rows: int | None = None):
+def _irfft(spec: np.ndarray, n: int):
     """Real rows of n samples whose DFT bins 0..n/2 are the rows of the
-    matrix `spec`, yielded as views of one buffer, about `rows` rows (all by
-    default) but whole FFT chunks at a time; bins 0 and n/2 are taken as real.
+    matrix `spec`, yielded as views of one buffer, a chunk of `_fft_core`'s
+    whole-matrix transform at a time (so bit for bit); bins 0 and n/2 are taken as real.
 
     Inverts `_rfft`'s packing: Z[k] = conj(A[k]) X[k] + conj(B[k]) conj(X[n/2 - k])
-    for k < n/2, a chunk of rows at a time, the mirror term in the chunk pair
-    the transform then fills; one inverse n/2-point transform over Z gives
-    x[2j] + i x[2j+1], whose float64 view is the row of samples.
+    for k < n/2, the mirror term in the chunk pair the transform then fills;
+    one inverse n/2-point transform over Z gives x[2j] + i x[2j+1], whose
+    float64 view is the row of samples.
     """
     m = n // 2
     ca, cb = np.conjugate(_half_twiddles(n))[:, 1:m]
     cols = max(1, min(_CHUNK_POINTS // m, spec.shape[0]))
-    rows = cols * max(1, rows // cols) if rows else spec.shape[0]
     chunks = np.empty((2, m, cols), dtype=np.complex128)
-    buf = np.empty((min(rows, spec.shape[0]), m), dtype=np.complex128)
-    for start in range(0, spec.shape[0], rows):
-        x, z = spec[start:start + rows], buf[:spec.shape[0] - start]
-        for lo in range(0, x.shape[0], cols):
-            zb = z[lo:lo + cols, 1:]
-            np.multiply(x[lo:lo + cols, 1:m], ca, out=zb)
-            mirror = chunks.reshape(-1)[:zb.size].reshape(zb.shape)
-            np.conjugate(x[lo:lo + cols, m - 1:0:-1], out=mirror)
-            zb += np.multiply(mirror, cb, out=mirror)
+    buf = np.empty((cols, m), dtype=np.complex128)
+    for lo in range(0, spec.shape[0], cols):
+        x = spec[lo:lo + cols]
+        z, zb = buf[:len(x)], buf[:len(x), 1:]
+        np.multiply(x[:, 1:m], ca, out=zb)
+        mirror = chunks.reshape(-1)[:zb.size].reshape(zb.shape)
+        np.conjugate(x[:, m - 1:0:-1], out=mirror)
+        zb += np.multiply(mirror, cb, out=mirror)
         dc, nyquist = x[:, 0].real, x[:, m].real
         z[:, 0] = 0.5 * (dc + nyquist) + 0.5j * (dc - nyquist)
         samples = _fft_core(z, 1.0, out=z, chunks=chunks).view(np.float64)
@@ -245,9 +243,9 @@ def _frame_count(n: int, cfg: StftConfig) -> int:
 
 # frames x fft_size of one STFT, 8.5x the largest default-grid STFT of a 12 s,
 # 44.1 kHz recording (100 ms, 25 ms hop). The tracemalloc peaks of stft and istft,
-# output included, at 2^21 and 2^22 points: 10 and 3.4-5.6 bytes per point for 2^5-
-# to 2^16-point FFTs at a quarter-window hop, so 320 and at most 180 MiB at this
-# limit; 16 and 9.4-12.1 when hop == window; up to 36 and 54 for 2 frames of 2^20
+# output included, at 2^21 and 2^22 points: 10 and 2.3-4.8 bytes per point for 2^5-
+# to 2^16-point FFTs at a quarter-window hop, so 320 and at most 154 MiB at this
+# limit; 16 and 8.3-11.4 when hop == window; up to 36 and 54 for 2 frames of 2^20
 # points (the chunk buffers; istft's sums exist before it inverts), so up to 1.7 GiB.
 STFT_MAX_POINTS = 1 << 25
 
@@ -267,8 +265,8 @@ def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
     edge = cfg.win_size // 2
     n_frames = _frame_count(len(s), cfg)
     if n_frames * cfg.fft_size > STFT_MAX_POINTS:
-        raise ValueError(f"STFT too large: {n_frames} frames x {cfg.fft_size} FFT points "
-                         f"exceeds {STFT_MAX_POINTS} points")
+        raise ValueError(f"STFT too large: {n_frames} frames x 2^{cfg.fft_size.bit_length() - 1}"
+                         f" FFT points exceeds 2^{STFT_MAX_POINTS.bit_length() - 1} points")
     tail = (n_frames - 1) * cfg.hop + cfg.win_size - edge - len(s)
     spec = _rfft(_frame(np.pad(s.samples, (edge, tail)), cfg.win_size, cfg.hop), cfg.fft_size,
                  make_window(cfg.window, cfg.win_size))
@@ -295,7 +293,7 @@ def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) ->
 
 def istft(m: TFRepresentation) -> Signal:
     """Inverse STFT by weighted overlap-add with window-square normalization,
-    trimmed to the original signal length, about an eighth of the frames at a time.
+    trimmed to the original signal length, one FFT chunk of frames at a time.
 
     Raises before inverting if the normalization denominator drops below 1e-12
     anywhere in the retained range (a window/hop combination that does not cover the signal).
@@ -318,7 +316,7 @@ def istft(m: TFRepresentation) -> Signal:
     if np.any(den.reshape(-1)[kept.start:kept.stop - (n_frames - few) * hop] < 1e-12):
         raise ValueError("window/hop configuration leaves uncovered samples (denominator ~ 0)")
     num, lo = np.zeros((n_frames + blocks, hop)), 0
-    for samples in _irfft(m.coeffs.T, cfg.fft_size, max(1, n_frames // 8)):
+    for samples in _irfft(m.coeffs.T, cfg.fft_size):
         _overlap_add(np.multiply(samples[:, :win], window, out=samples[:, :win]), hop, num[lo:])
         lo += len(samples)
     with np.errstate(divide="ignore", invalid="ignore"):   # zero sums lie outside `kept`

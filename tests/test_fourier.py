@@ -108,14 +108,15 @@ class TestScratch:
     # the frames straight into its result's buffer and transforms there, so it
     # holds about 0.3x its result besides it (the padded signal, the chunk
     # buffers, one row block), 1.2x at hop == window, where the result has a
-    # quarter as many frames. istft inverts a block of frames at a time: the
-    # block's transform buffer and the FFT's chunk pair, which also holds the
+    # quarter as many frames. istft inverts one FFT chunk of frames at a time:
+    # one chunk's transform buffer and the FFT's chunk pair, which also holds the
     # mirror term, plus numpy's per-call ufunc buffers and the window-square
-    # sums of a few frames: 0.29x and 0.94x its input (1.14x and 1.65x when it
-    # held a transform buffer for every frame and signal-long window-square sums).
+    # sums of a few frames, about 1.1 MiB at any length: 0.23x and 0.94x its
+    # input here (0.29x and 0.94x with blocks of an eighth of the frames, 1.14x
+    # and 1.65x with a transform buffer for every frame and signal-long sums).
     def test_stft_and_istft_scratch_beyond_output(self, rng):
         s = Signal(rng.normal(size=12 * 8000), 8000)
-        for kind, hop_ms, stft_bound, istft_bound in [("hann", 1.25, 0.5, 0.4),
+        for kind, hop_ms, stft_bound, istft_bound in [("hann", 1.25, 0.5, 0.26),
                                                       ("rectangular", 5.0, 1.5, 1.05)]:
             cfg = build_config(stft_entry(kind, 5.0, hop_ms), 8000)
             tracemalloc.start()
@@ -132,6 +133,22 @@ class TestScratch:
             size = tf.coeffs.nbytes
             assert stft_peak - size <= stft_bound * size, (kind, stft_peak / size)
             assert istft_peak - back.samples.nbytes <= istft_bound * size, (kind, istft_peak / size)
+
+    def test_istft_scratch_does_not_grow_with_the_signal(self, rng):
+        # 1187 KiB beyond the output at 12 s and at 60 s; 511 KiB more at 60 s
+        # with blocks of an eighth of the frames
+        cfg = StftConfig(WindowKind.HANN, 512, 256)
+        scratch = []
+        for seconds in (12, 60):
+            tf = stft(Signal(rng.normal(size=seconds * 8000), 8000), cfg)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                back = istft(tf)
+                scratch.append(tracemalloc.get_traced_memory()[1] - start - back.samples.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert abs(scratch[1] - scratch[0]) <= 64 << 10, scratch
 
 
 class TestInputsUntouched:
@@ -159,9 +176,9 @@ class TestInputsUntouched:
             assert not np.shares_memory(out, frames)
             for spec in (out, np.asfortranarray(out)):   # _irfft divides its result in place
                 spectrum = spec.tobytes()
-                back = next(_irfft(spec, n))
+                for back in _irfft(spec, n):
+                    assert not np.shares_memory(back, spec)
                 assert spec.tobytes() == spectrum
-                assert not np.shares_memory(back, spec)
 
     def test_stft(self, rng):
         s = Signal(rng.normal(size=4001), 8000)

@@ -204,7 +204,7 @@ class TestIbmTrial:
     # is then the third source's stft beside |target| and the sum (3.59x: the
     # FFT's chunk buffers weigh on so short a signal), on 12 s ones the same
     # step at 2.82x (3.50x when each sum was a new array). With two sources on
-    # 1 s, 16 kHz signals, it is the inverse: the masked copy, istft's block
+    # 1 s, 16 kHz signals, it is the inverse: the masked copy, istft's chunk
     # buffers and numpy's ufunc buffers (2.59x; 2.82x when istft held a
     # transform buffer for every frame).
     # They were 4.09x and 3.00x with the target's coefficients and a float mask.
@@ -335,16 +335,18 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("size_ms, reason", [
         (1e308, "window/hop not finite"), (1e9, "STFT too large"),
+        (1e300, "STFT too large: 2 frames x 2^1001 FFT points exceeds 2^25 points"),
         (0.05, "window/hop too small: 0.05 ms / 0.025 ms at 16000 Hz")],
-        ids=["1e+308", "1000000000.0", "0.05"])
+        ids=["1e+308", "1000000000.0", "1e+300", "0.05"])
     def test_unbounded_stft_row_fails(self, small_corpus, size_ms, reason):
-        # 1e308 ms is an infinite sample count, 1e9 ms a 119 GiB window, 0.05 ms
-        # under two samples
+        # 1e308 ms is an infinite sample count, 1e9 ms a 119 GiB window, 1e300 ms
+        # a 2^1001-point FFT, 0.05 ms under two samples
         corpus = SpeakerCorpus.from_dir(small_corpus)
         grid = [stft_entry("hann", size_ms, size_ms / 2), stft_entry("hann", 32.0, 16.0)]
         report = grid_search(corpus, grid, n_mixtures=1, seed=3)
         assert report.rows[0].status == "ok"
         assert report.rows[1].status.startswith(f"failed: {reason}")
+        assert len(report.rows[1].status) < 100, report.rows[1].status
 
     def test_threads_bounded_by_the_cpus(self, small_corpus, monkeypatch):
         pools = []
