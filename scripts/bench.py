@@ -20,11 +20,14 @@ The file holds every run's result with the minor page faults and the CPU
 seconds (user plus system) of the processes the run started, from
 RUSAGE_CHILDREN before and after it; the median and quartiles of each
 end-to-end metric per side, the number of pairs the after side won (by the
-direction BENCHMARK.json gives the metric), the machine (nproc, Python and
-numpy versions), both sides' commits and tree hashes, and each side's
-`src_lines`: the lines of its src/tfsep/*.py without the generated
-_filter_tables.py. It is rewritten after every pair, so an interrupted run
-keeps the pairs it finished.
+direction BENCHMARK.json gives the metric), the change of the medians (after
+minus before, and as a fraction of the before median), the before side's
+interquartile range, and whether the after median is worse than the before
+median by more than the metric's bound, a fraction of the before median as
+in BENCHMARK.json; the machine (nproc, Python and numpy versions), both
+sides' commits and tree hashes, and each side's `src_lines`: the lines of
+its src/tfsep/*.py without the generated _filter_tables.py. It is rewritten
+after every pair, so an interrupted run keeps the pairs it finished.
 """
 from __future__ import annotations
 
@@ -110,15 +113,24 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
-def _summary(pairs: list[dict], better: dict[str, str]) -> dict:
+def _summary(pairs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per metric of `metrics` (name: its BENCHMARK.json entry), what a
+    claim of a gain or a check for a regression reads of the pairs."""
     out = {}
-    for name, direction in better.items():
+    for name, spec in metrics.items():
+        direction = spec["better"]
         before = [p["before"]["metrics"][name] for p in pairs]
         after = [p["after"]["metrics"][name] for p in pairs]
         wins = sum((a > b) if direction == "higher" else (a < b)
                    for a, b in zip(after, before))
-        out[name] = {"better": direction, "before": _spread(before),
-                     "after": _spread(after), "after_wins": wins, "pairs": len(pairs)}
+        before, after = _spread(before), _spread(after)
+        change, scale = after["median"] - before["median"], abs(before["median"])
+        loss = -change if direction == "higher" else change
+        out[name] = {"better": direction, "before": before, "after": after,
+                     "after_wins": wins, "pairs": len(pairs), "median_change": change,
+                     "relative_change": change / scale if scale else None,
+                     "before_iqr": before["q3"] - before["q1"],
+                     "worse_than_bound": loss > spec["bound"] * scale}
     return out
 
 
@@ -140,8 +152,8 @@ def main(argv=None) -> int:
             parser.error(f"expected NAME:PAIRS with PAIRS >= 1, got {item!r}")
         plan.append((name, int(count)))
     sides = {"before": _side(repo, args.before), "after": _side(repo, args.after)}
-    better = {m["name"]: m["better"] for m in
-              json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]}
+    metrics = {m["name"]: m for m in
+               json.loads((repo / "BENCHMARK.json").read_text())["end_to_end"]}
     record = {
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": np.__version__, "platform": platform.platform()},
@@ -163,7 +175,7 @@ def main(argv=None) -> int:
                 for label in order:
                     pair[label] = _run(checkouts[label], name, seed)
                 pairs.append(pair)
-                record["workloads"][name] = {"pairs": pairs, "summary": _summary(pairs, better)}
+                record["workloads"][name] = {"pairs": pairs, "summary": _summary(pairs, metrics)}
                 args.out.write_text(json.dumps(record, indent=2) + "\n")
                 ops = {label: pair[label]["metrics"]["ops_per_s"] for label in sides}
                 print(f"{name} seed {seed}: ops_per_s {ops['before']:.3f} -> "

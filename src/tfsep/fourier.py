@@ -3,12 +3,13 @@ forward/inverse STFT, and heatmap export.
 
 The FFT is implemented here rather than delegated. `_fft_core` is an
 autosort (Stockham) transform in radix-4 steps over cache-sized chunks of a
-batch of rows, on one ping-pong pair of chunk buffers with one twiddle
-column per stage; its outputs equal the radix-2 decimation-in-time
-transform's bit for bit. `_rfft` and `_irfft` handle real rows of N samples
-as one N/2-point complex transform of the packed even and odd samples
-(Sorensen, Jones, Heideman and Burrus, IEEE TASSP 1987), and the STFT uses
-them; `_rfft` writes the spectrum over the buffer it packed the rows into.
+batch of rows, on one ping-pong pair of chunk buffers and one twiddle table
+per call, of which each stage reads a strided view; its outputs equal the
+radix-2 decimation-in-time transform's bit for bit. `_rfft` and `_irfft`
+handle real rows of N samples as one N/2-point complex transform of the
+packed even and odd samples (Sorensen, Jones, Heideman and Burrus, IEEE
+TASSP 1987), and the STFT uses them; `_rfft` writes the spectrum over the
+buffer it packed the rows into.
 """
 from __future__ import annotations
 
@@ -80,8 +81,8 @@ def _fft_core(x: np.ndarray, sign: float, out: np.ndarray | None = None,
     dest = np.empty(rows.shape, dtype=np.complex128) if out is None else out.reshape(rows.shape)
     cols = max(1, min(_CHUNK_POINTS // n, rows.shape[0])) if chunks is None else chunks.shape[2]
     odd = (n.bit_length() - 1) % 2
-    first = _twiddles(1, sign) if odd else None
-    steps = [(step, _twiddles(step, sign), _twiddles(2 * step, sign))
+    w = _twiddles(max(1, n // 2), sign)   # every stage's column is a strided view of it
+    steps = [(step, w[::n // (2 * step)], w[::n // (4 * step)])
              for step in (1 << e for e in range(odd, n.bit_length() - 1, 2))]
     chunks = np.empty((2, n, cols), dtype=np.complex128) if chunks is None else chunks
     for lo in range(0, rows.shape[0], cols):
@@ -90,7 +91,7 @@ def _fft_core(x: np.ndarray, sign: float, out: np.ndarray | None = None,
         np.copyto(src, rows[lo:lo + b].T)
         if odd:
             y, d = src.reshape(n, 1, b), dst.reshape(n // 2, 2, 1, b)
-            _butterfly(y[:n // 2], y[n // 2:], first, d[:, 0], d[:, 1])
+            _butterfly(y[:n // 2], y[n // 2:], w[:1], d[:, 0], d[:, 1])
             src, dst = dst, src
         for step, tw1, tw2 in steps:
             q = n // (4 * step)

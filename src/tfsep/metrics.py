@@ -142,18 +142,14 @@ def _stoi_segment_blocks(envelopes: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class StoiReference:
     """The clean side of STOI, which depends on the clean signal alone: its
-    rate and length, the frames within 40 dB of its loudest, their band
-    envelopes, and per (segment, band) envelope its norm, its mean and the
-    norm of its mean-centred form. Every stoi call against the same clean
-    signal can share one; stoi only reads it."""
+    rate and length, the frames within 40 dB of its loudest, and their band
+    envelopes. Every stoi call against the same clean signal can share one;
+    stoi only reads it."""
 
     rate: int
     size: int
     keep: np.ndarray
     envelopes: np.ndarray         # kept frames x bands
-    norms: np.ndarray             # segments x bands
-    means: np.ndarray             # segments x bands
-    centred_norms: np.ndarray     # segments x bands
 
 
 def stoi_reference(s, rate: int) -> StoiReference:
@@ -173,14 +169,7 @@ def stoi_reference(s, rate: int) -> StoiReference:
     if np.count_nonzero(keep) < _STOI_FRAMES:
         raise MetricError(
             f"fewer than {_STOI_FRAMES} frames remain after silent-frame removal")
-    envelopes = _stoi_envelopes(x, keep)
-    norms, means, centred_norms = np.empty((3, len(envelopes) - _STOI_FRAMES + 1, _STOI_BANDS))
-    for at, segments in _stoi_segment_blocks(envelopes):
-        norms[at] = np.linalg.norm(segments, axis=-1)
-        means[at] = segments.mean(axis=-1)
-        segments -= means[at, :, None]
-        centred_norms[at] = np.linalg.norm(segments, axis=-1)
-    return StoiReference(clean.rate, len(clean), keep, envelopes, norms, means, centred_norms)
+    return StoiReference(clean.rate, len(clean), keep, _stoi_envelopes(x, keep))
 
 
 def stoi(s, s_hat, rate: int, reference: StoiReference | None = None) -> float:
@@ -202,15 +191,16 @@ def stoi(s, s_hat, rate: int, reference: StoiReference | None = None) -> float:
         raise ValueError(f"STOI reference is for {reference.size} samples at {reference.rate} Hz,"
                          f" not {len(clean)} at {clean.rate} Hz")
     envelopes = _stoi_envelopes(resample(degraded, _STOI_RATE).samples, reference.keep)
-    correlations = np.empty(reference.norms.shape)
+    correlations = np.empty((len(envelopes) - _STOI_FRAMES + 1, _STOI_BANDS))
     for (at, x), (_, y) in zip(_stoi_segment_blocks(reference.envelopes),
                                _stoi_segment_blocks(envelopes)):
+        # scale y to x's norm, clip it at -15 dB, centre both, correlate
         norm_y = np.linalg.norm(y, axis=-1, keepdims=True)
-        y *= reference.norms[at, :, None] / np.where(norm_y == 0.0, 1.0, norm_y)
+        y *= np.linalg.norm(x, axis=-1, keepdims=True) / np.where(norm_y == 0.0, 1.0, norm_y)
         np.minimum(y, _STOI_CLIP_GAIN * x, out=y)
         y -= y.mean(axis=-1, keepdims=True)
-        x -= reference.means[at, :, None]
-        denom = reference.centred_norms[at] * np.linalg.norm(y, axis=-1)
+        x -= x.mean(axis=-1, keepdims=True)
+        denom = np.linalg.norm(x, axis=-1) * np.linalg.norm(y, axis=-1)
         num = np.sum(x * y, axis=-1)
         correlations[at] = np.where(denom == 0.0, 0.0, num / np.where(denom == 0.0, 1.0, denom))
     # one mean over every (segment, band) correlation, in the order of one array

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tfsep import fourier
 from tfsep.fourier import (StftConfig, WindowKind, _fft_core, _irfft, _rfft, export_heatmap,
                            fft, ifft, istft, make_window, stft, stft_frequencies)
 from tfsep.harness import build_config, stft_entry
@@ -57,6 +58,31 @@ class TestFft:
         assert np.max(np.abs(back - x)) < 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
+class TestTwiddles:
+    def test_one_table_per_fft_core_call(self, rng, monkeypatch):
+        calls = []
+        table = fourier._twiddles
+        monkeypatch.setattr(fourier, "_twiddles", lambda m, sign: calls.append(m) or table(m, sign))
+        for log_n in range(13):
+            n = 1 << log_n
+            x = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+            for sign in (-1.0, 1.0):
+                calls.clear()
+                _fft_core(x, sign)
+                assert calls == [max(1, n // 2)], (n, calls)
+
+    def test_every_stage_column_is_a_strided_view_bit_for_bit(self):
+        # the premise of the one table: a stage's own column and the table's every
+        # (m / s)th entry are the same numbers
+        for sign in (-1.0, 1.0):
+            for log_m in range(17):
+                m = 1 << log_m
+                table = fourier._twiddles(m, sign)
+                for log_s in range(log_m + 1):
+                    s = 1 << log_s
+                    assert np.array_equal(table[::m // s], fourier._twiddles(s, sign)), (m, s)
+
+
 class TestNoStateLeft:
     def test_transforms_hold_no_memory_afterwards(self):
         rows = [np.random.default_rng(e).normal(size=(3, 1 << e)) for e in range(1, 17)]
@@ -76,8 +102,8 @@ class TestNoStateLeft:
 
 class TestScratch:
     # a 940 x 256 batch (12 s of STOI's 10 kHz frames) and a 751 x 128 batch: beyond
-    # its output the core holds its two chunk buffers (512 KiB), per-stage twiddle
-    # columns and numpy's broadcasting buffers, about 0.8 MiB in all
+    # its output the core holds its two chunk buffers (512 KiB), its twiddle table
+    # and numpy's broadcasting buffers, about 0.8 MiB in all
     @pytest.mark.parametrize("rows, n", [(940, 256), (751, 128)])
     def test_fft_core_scratch_beyond_output(self, rng, rows, n):
         x = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))

@@ -14,7 +14,7 @@ from tfsep.wavelet import (DwtConfig, WaveletFilterBank, WptConfig, available_fa
                            gray_permutation, idwt_step, iwpt, lookup, max_level,
                            qmf_highpass, scale_to_frequency, verify_pr, wavedec, waverec,
                            wpt)
-from tfsep.wavelet import _CASCADE_ITERATIONS, _upsample_by
+from tfsep.wavelet import _CASCADE_ITERATIONS, _analysis_pair, _upsample_by
 
 ALL_MODES = [PadMode.PERIODIZATION, PadMode.ZERO, PadMode.SYMMETRIC]
 SQRT2 = np.sqrt(2.0)
@@ -358,6 +358,28 @@ class TestWpt:
             wavedec(s, WptConfig("haar", 2))
         with pytest.raises(ValueError, match="expected a WPT representation, got config Dwt"):
             wpt(s, DwtConfig("haar", 2))
+
+
+class TestCascadeIdentity:
+    """Depth L is the first L levels of one depth-12 cascade, bit for bit: a
+    grid can walk each source's cascade once and read every depth from it."""
+
+    @pytest.mark.parametrize("n", [4097, 5000])
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("name", ["haar", "sym8", "coif5", "db20", "coif17"])
+    def test_every_depth_is_a_prefix_of_one_walk(self, rng, name, mode, n):
+        s = Signal(rng.normal(size=n), 16000)
+        bank = lookup(name)
+        nodes = s.samples[np.newaxis]      # one packet-tree level, natural order
+        details = []                       # d_1, ..., d_L
+        for level in range(1, 13):
+            lo, hi = _analysis_pair(nodes, bank, mode)
+            nodes = np.stack([lo, hi], axis=1).reshape(2 * len(nodes), -1)
+            details.append(nodes[1])
+            walk = np.concatenate([nodes[0], *details[::-1]])
+            assert np.array_equal(wavedec(s, DwtConfig(name, level, mode)).coeffs, walk), level
+            leaves = wpt(s, WptConfig(name, level, mode)).coeffs
+            assert np.array_equal(leaves[gray_permutation(level)], nodes), level
 
 
 class TestInverseMemory:
