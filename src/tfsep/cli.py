@@ -180,7 +180,7 @@ def _cmd_experiment(args) -> int:
     if out.is_dir() or not out.parent.is_dir():  # found now, not after the whole grid
         raise DataError(f"cannot write the report to {out}: not a file in an existing directory")
     corpus = SpeakerCorpus.from_dir(args.corpus)
-    corpus.check_speakers(args.speakers)  # before any WAV is decoded
+    corpus.check_speakers(args.speakers)  # before any WAV header is read
     if args.grid == "default":
         shortest = min(wav_header(f)[1] for sp in corpus.speakers for f in sp.files)
         grid = default_grid(max_level(shortest), full_depth=args.full_depth)

@@ -132,7 +132,7 @@ def _half_twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
 
 
-def _rfft(frames: np.ndarray, n: int, window=1.0) -> np.ndarray:
+def _rfft(frames: np.ndarray, n: int, window) -> np.ndarray:
     """DFT bins 0..n/2 of each real row of the matrix `frames` times `window`,
     zero-padded to n points (n a power of two, at least 2 and at least the
     row width), one row of bins per frame.
@@ -274,9 +274,9 @@ def stft(s: Signal, cfg: StftConfig) -> TFRepresentation:
     return TFRepresentation(spec.T, cfg, s.rate, len(s))
 
 
-def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) -> np.ndarray:
+def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray) -> np.ndarray:
     """out[t*hop + j] = sum over t of frames[t, j], over (frames - 1)*hop + width
-    samples, added into `out` (C-contiguous rows of hop samples) or zeros.
+    samples, added into `out` (at least frames + blocks C-contiguous rows of hop samples).
 
     The frames are cut into hop-wide blocks; block b of frame t lands in row
     t + b of a (frames + blocks) x hop accumulator. Adding the last block first
@@ -285,7 +285,6 @@ def _overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) ->
     """
     n_frames, width = frames.shape
     blocks = -(-width // hop)
-    out = np.zeros((n_frames + blocks, hop)) if out is None else out
     for blk in range(blocks - 1, -1, -1):
         part = frames[:, blk * hop:(blk + 1) * hop]
         out[blk:blk + n_frames, :part.shape[1]] += part

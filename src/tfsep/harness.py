@@ -13,6 +13,7 @@ import os
 import sys
 import wave
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
@@ -431,11 +432,8 @@ def grid_search(corpus: SpeakerCorpus, grid, n_mixtures: int = 10,
         return list(mapper(partial(evaluate, replace(mix, reference=reference)), grid))
 
     workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = [trials(pool.map, s) for s in mixture_seeds]
-    else:
-        outcomes = [trials(map, s) for s in mixture_seeds]
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        outcomes = [trials(pool.map if pool else map, s) for s in mixture_seeds]
 
     rows = []
     for entry, results in zip(grid, zip(*outcomes)):

@@ -65,7 +65,6 @@ def cqf_highpass(h) -> np.ndarray:
     return qmf_highpass(np.asarray(h, dtype=np.float64)[::-1])
 
 
-@lru_cache(maxsize=None)
 def lookup(name: str) -> WaveletFilterBank:
     """Fetch a registered filter bank by name (e.g. "haar", "db4", "sym8")."""
     if name not in SCALING_FILTERS:

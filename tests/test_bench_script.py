@@ -51,3 +51,15 @@ class TestSummary:
         row = bench._summary(pairs, {"m": {"better": "lower", "bound": 0.25}})["m"]
         assert row["relative_change"] is None
         assert row["worse_than_bound"] is worse
+
+
+class TestSrcLines:
+    def test_every_line_of_the_package_modules_but_the_generated_tables(self, bench, tmp_path):
+        package = tmp_path / "src" / "tfsep"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_text("import os\n\n# a comment\n")   # blank lines count too
+        (package / "b.py").write_text("x = 1\ny = 2")                  # no final newline
+        (package / "_filter_tables.py").write_text("T = 1\n" * 100)
+        (package / "notes.txt").write_text("not a module\n")
+        (package / "sub" / "c.py").write_text("z = 3\n")              # not in src/tfsep itself
+        assert bench._src_lines(tmp_path) == 5

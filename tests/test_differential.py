@@ -43,7 +43,8 @@ def test_rfft_and_irfft_match_numpy(log2n, rng):
     for width in sorted({1, 2, 3, n // 2 + 1, n - 1, n} & set(range(1, n + 1))):
         frames = rng.normal(size=(3, width))
         ref = np.fft.rfft(frames, n)
-        assert np.max(np.abs(_rfft(frames, n) - ref)) <= 1e-13 * np.max(np.abs(ref)), (n, width)
+        assert (np.max(np.abs(_rfft(frames, n, window=1.0) - ref))
+                <= 1e-13 * np.max(np.abs(ref))), (n, width)
     spec = rng.normal(size=(3, n // 2 + 1)) + 1j * rng.normal(size=(3, n // 2 + 1))
     ref = np.fft.irfft(spec, n)
     for layout in (spec, np.asfortranarray(spec)):   # istft passes a transposed view
@@ -61,7 +62,7 @@ def test_rfft_end_bins_are_the_complex_transforms(rng):
         padded = np.zeros((5, n), dtype=np.complex128)
         padded[:, :frames.shape[1]] = frames
         ref = _fft_core(padded, -1.0)[:, [0, n // 2]]
-        ours = _rfft(frames, n)[:, [0, n // 2]]
+        ours = _rfft(frames, n, window=1.0)[:, [0, n // 2]]
         assert _bit_identical(ours.real, ref.real) and np.all(ours.imag == 0.0), n
 
 
@@ -130,13 +131,16 @@ def test_overlap_add_matches_per_frame_oracle_bit_for_bit(n_frames, win, hop, nf
     wsyn = np.zeros(nfft)
     wsyn[:win] = make_window(window, win)
     ref_num, ref_den = _per_frame_overlap_add(frames, wsyn, hop)
-    num = _overlap_add(frames * wsyn, hop)
-    den = _overlap_add(np.broadcast_to(wsyn * wsyn, frames.shape), hop)
+
+    def sums(width):                       # zeroed (frames + blocks) x hop rows
+        return np.zeros((n_frames - (-width // hop), hop))
+    num = _overlap_add(frames * wsyn, hop, sums(nfft))
+    den = _overlap_add(np.broadcast_to(wsyn * wsyn, frames.shape), hop, sums(nfft))
     assert _bit_identical(num, ref_num) and _bit_identical(den, ref_den)
     # istft adds only the window's width: the rest of the sums is +0.0
     wsyn = wsyn[:win]
-    num = _overlap_add(frames[:, :win] * wsyn, hop)
-    den = _overlap_add(np.broadcast_to(wsyn * wsyn, (n_frames, win)), hop)
+    num = _overlap_add(frames[:, :win] * wsyn, hop, sums(win))
+    den = _overlap_add(np.broadcast_to(wsyn * wsyn, (n_frames, win)), hop, sums(win))
     size = num.size
     assert size == (n_frames - 1) * hop + win
     assert _bit_identical(num, ref_num[:size]) and _bit_identical(den, ref_den[:size])

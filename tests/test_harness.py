@@ -513,8 +513,10 @@ def _noise_corpus(root, rates: dict, seconds: float, silent=(), recordings: int 
 
 
 class TestPerMixtureWork:
-    def test_clean_side_of_stoi_runs_once_per_mixture(self, small_corpus, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])    # in-process, and on a pool of two threads
+    def test_clean_side_of_stoi_runs_once_per_mixture(self, small_corpus, monkeypatch, jobs):
         from tfsep import metrics
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         calls, metrics_resample = [], metrics.resample
 
         def counting_resample(sig, rate):
@@ -524,7 +526,8 @@ class TestPerMixtureWork:
         monkeypatch.setattr(metrics, "resample", counting_resample)
         grid = [wavelet_entry("dwt", "haar", 1), wavelet_entry("dwt", "db4", 3),
                 wavelet_entry("wpt", "haar", 2)]
-        report = grid_search(SpeakerCorpus.from_dir(small_corpus), grid, n_mixtures=2, seed=3)
+        report = grid_search(SpeakerCorpus.from_dir(small_corpus), grid, n_mixtures=2, seed=3,
+                             jobs=jobs)
         assert all(row.status == "ok" and row.stoi is not None for row in report.rows)
         assert len(calls) == 2 + 3 * 2      # M references + C x M estimates
 
@@ -584,17 +587,19 @@ class TestPerMixtureWork:
             grid_search(corpus, [wavelet_entry("dwt", "haar", 1)], n_mixtures=4, seed=5)
         make_mixture(corpus, 2, int(np.random.SeedSequence(5).generate_state(1)[0]))
 
-    def test_each_recording_is_decoded_once_per_mixture(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_recording_is_decoded_once_per_mixture(self, tmp_path, monkeypatch, jobs):
         # the rate check before the first trial reads headers only
         corpus = _noise_corpus(tmp_path, {s: 8000 for s in "abcd"}, 0.01, recordings=3)
         decoded = []
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
         def counting_load_wav(path):
             decoded.append(path)
             return load_wav(path)
 
         monkeypatch.setattr(harness, "load_wav", counting_load_wav)
-        report = grid_search(corpus, [wavelet_entry("dwt", "haar", 1)], n_mixtures=400)
+        report = grid_search(corpus, [wavelet_entry("dwt", "haar", 1)], n_mixtures=400, jobs=jobs)
         assert report.rows[0].status == "ok"
         assert len(decoded) == 800
 
